@@ -9,8 +9,10 @@
 //
 // over a strict workload (retail: the flat table engages) and a
 // non-strict temporal one (clinical: the gate fails, proving fallback
-// parity). One-time bit-identity across all modes per workload, then a
-// stdout table and BENCH_closure_memo.json.
+// parity). raw and memo run the group-by kernel without a context (no
+// snapshots), index with one. One-time bit-identity of all modes against
+// the ordered-map reference engine (tests/reference_groupby.h) per
+// workload, then a stdout table and BENCH_closure_memo.json.
 //
 //   $ ./bench/bench_closure_memo
 
@@ -24,6 +26,7 @@
 #include "engine/executor.h"
 #include "io/serialize.h"
 #include "peak_rss.h"
+#include "reference_groupby.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -132,16 +135,16 @@ int main() {
   std::printf("%20s %6s %10s %9s %6s %10s %6s\n", "workload", "mode",
               "wall_ms", "speedup", "hits", "fallbacks", "ident");
   for (Case& c : BuildCases()) {
-    // Ground truth once per workload: the memoized sequential engine.
+    // Ground truth once per workload: the reference engine.
     ConfigureMemo(c.mo, true);
-    auto reference = AggregateFormation(c.mo, c.spec);
-    if (!reference.ok()) {
+    auto expected = reference::AggregateFormation(c.mo, c.spec);
+    if (!expected.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
-                   reference.status().ToString().c_str());
+                   expected.status().ToString().c_str());
       return 1;
     }
     const std::string reference_bytes =
-        std::move(io::WriteMo(*reference)).ValueOrDie();
+        std::move(io::WriteMo(*expected)).ValueOrDie();
 
     double raw_ms = 0.0;
     for (const std::string& mode : {std::string("raw"),

@@ -1,6 +1,7 @@
 // Group-by kernel sweep: group count x fact count x threads, the
 // dense-slot and flat-hash kernels (docs/groupby_kernel.md) against the
-// ordered-map baseline they replace, with a one-time bit-identity check
+// ordered-map reference engine they replaced (tests/reference_groupby.h,
+// the "map" column), with a one-time bit-identity check
 // per configuration before any timing counts. Results go to stdout as a
 // table and to BENCH_groupby.json as machine-readable records.
 //
@@ -27,6 +28,7 @@
 #include "engine/executor.h"
 #include "io/serialize.h"
 #include "peak_rss.h"
+#include "reference_groupby.h"
 
 namespace {
 
@@ -107,13 +109,15 @@ double TimeAggregateMs(const MdObject& mo, const AggregateSpec& spec,
                        int iterations) {
   double best = 1e300;
   for (int i = 0; i < iterations; ++i) {
+    // threads == 0 times the reference engine.
     std::unique_ptr<ExecContext> ctx;
     if (threads > 0) {
       ctx = std::make_unique<ExecContext>(threads, /*min_facts=*/1);
       if (force_flat) ctx->max_dense_groupby_slots = 0;
     }
     auto start = std::chrono::steady_clock::now();
-    auto result = AggregateFormation(mo, spec, ctx.get());
+    auto result = threads > 0 ? AggregateFormation(mo, spec, ctx.get())
+                              : reference::AggregateFormation(mo, spec);
     auto stop = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "aggregate failed: %s\n",
@@ -178,9 +182,9 @@ int main() {
       const int iterations = facts >= 1000000 ? 3 : 5;
 
       // Bit-identity, once per configuration, before any timing: the
-      // ordered-map baseline against the dense kernel (1 and 8 threads)
+      // ordered-map reference against the dense kernel (1 and 8 threads)
       // and the forced flat-hash kernel.
-      auto baseline = AggregateFormation(workload.mo, spec);
+      auto baseline = reference::AggregateFormation(workload.mo, spec);
       if (!baseline.ok()) {
         std::fprintf(stderr, "baseline aggregate failed: %s\n",
                      baseline.status().ToString().c_str());

@@ -1,7 +1,10 @@
 // Compiled-rollup-index sweep: fan-out x depth x fact count, the
 // flat-table aggregate path (engine/rollup_index.h) against the memoized
-// closure traversal it replaces, with a one-time bit-identity check per
-// configuration before any timing counts. Results go to stdout as a
+// closure traversal it replaces — the same group-by kernel run without a
+// context, which compiles no snapshots — with a one-time bit-identity
+// check against the ordered-map reference engine
+// (tests/reference_groupby.h) per configuration before any timing
+// counts. Results go to stdout as a
 // table and to BENCH_rollup.json as machine-readable records.
 //
 //   $ ./bench/bench_rollup_index
@@ -24,6 +27,7 @@
 #include "engine/executor.h"
 #include "engine/rollup_index.h"
 #include "io/serialize.h"
+#include "reference_groupby.h"
 #include "peak_rss.h"
 
 namespace {
@@ -181,21 +185,26 @@ int main() {
         row.depth = depth;
         row.facts = facts;
 
-        auto memoized = AggregateFormation(mo, spec);
-        if (!memoized.ok()) {
-          std::fprintf(stderr, "memoized aggregate failed: %s\n",
-                       memoized.status().ToString().c_str());
+        auto expected = reference::AggregateFormation(mo, spec);
+        if (!expected.ok()) {
+          std::fprintf(stderr, "reference aggregate failed: %s\n",
+                       expected.status().ToString().c_str());
           return 1;
         }
-        const std::string memo_bytes =
-            std::move(io::WriteMo(*memoized)).ValueOrDie();
+        const std::string expected_bytes =
+            std::move(io::WriteMo(*expected)).ValueOrDie();
         {
-          // Bit-identity, once per configuration, before any timing.
+          // Bit-identity of both timed paths, once per configuration,
+          // before any timing.
+          auto memoized = AggregateFormation(mo, spec);
           ExecContext check(1, /*min_facts=*/1);
           auto indexed = AggregateFormation(mo, spec, &check);
           row.bit_identical =
-              indexed.ok() &&
-              std::move(io::WriteMo(*indexed)).ValueOrDie() == memo_bytes;
+              memoized.ok() && indexed.ok() &&
+              std::move(io::WriteMo(*memoized)).ValueOrDie() ==
+                  expected_bytes &&
+              std::move(io::WriteMo(*indexed)).ValueOrDie() ==
+                  expected_bytes;
           if (!row.bit_identical) {
             std::fprintf(stderr,
                          "FATAL: indexed aggregate not bit-identical at "

@@ -43,9 +43,9 @@ std::size_t HashUint64(std::uint64_t raw) {
 }
 
 /// Query-lifetime scratch container (docs/memory_layout.md): with a null
-/// arena this is exactly std::vector, so the context-free baseline and
-/// the arena-backed execution path share one code path — byte-identity
-/// by construction, not by parallel maintenance.
+/// arena this is exactly std::vector, so context-free runs and the
+/// arena-backed execution path share one code path — byte-identity by
+/// construction, not by parallel maintenance.
 template <typename T>
 using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 
@@ -473,21 +473,6 @@ std::optional<Lifespan> OptLife(const Lifespan& life) {
   return life;
 }
 
-/// The fact's coordinates in every grouping category, or nullopt when
-/// some dimension has none (the fact then joins no group). Read-only on
-/// the MO (given warmed closure memos), so facts fan out in parallel.
-///
-/// `indexes` (empty, or one slot per dimension) carries compiled rollup
-/// snapshots whose flat table replaces the full characterization scan:
-/// per relation entry, the unique ancestor at the grouping category is
-/// one array lookup. Under the snapshot's gate every closure lifespan is
-/// Always, so the coordinate lifespan is the entry lifespan and the
-/// probability the entry probability times the closure probability —
-/// accumulated per coordinate value in entry order with the same
-/// union/noisy-or CharacterizedBy applies, and emitted in ascending
-/// ValueId order like the filtered characterization list. The two paths
-/// are therefore bit-identical; dimensions without a usable snapshot
-/// take the memoized path.
 /// Per-dimension entry spans aligned to the MO's sorted fact vector:
 /// `[i][f]` is relation i's entry-index run for facts[f] (empty when the
 /// fact has no pairs there). Built once per run by sweeping each
@@ -499,7 +484,7 @@ using FactEntryLists = std::vector<std::vector<FactDimRelation::EntrySpan>>;
 /// Builds the per-fact entry lists for the `wanted` dimensions: one
 /// lockstep walk of each relation's by-fact tree against the MO's sorted
 /// fact vector replaces one tree lookup per (fact, dimension) in the hot
-/// loops. Shared by AggregateFormation and AggregateStream.
+/// loops.
 FactEntryLists BuildFactEntryLists(const MdObject& mo,
                                    const std::vector<bool>& wanted) {
   const std::vector<FactId>& facts = mo.facts();  // sorted by id
@@ -526,18 +511,23 @@ FactEntryLists BuildFactEntryLists(const MdObject& mo,
 
 /// A fact's per-dimension coordinate lists, arena-backed on the
 /// execution path (a query's dominant allocation source is exactly these
-/// little per-fact vectors) and plain heap vectors for the baseline.
+/// little per-fact vectors) and plain heap vectors without a context.
 using CoordList = ArenaVec<Coordinate>;
 using CoordLists = ArenaVec<CoordList>;
 
-/// The shared per-dimension coordinate body of GroupingCoordinates and
-/// the streaming scan: appends `fact`'s coordinates in `category` of
-/// dimension `i` to `list`. With a compiled `index` the list is
-/// accumulated per value in entry order and kept sorted by ValueId (a
-/// linear insertion — coordinate lists are tiny), so emission matches the
-/// ordered map this replaced without its node churn; without one the
-/// memoized characterization scan runs unchanged. `span`, when non-null,
-/// is the fact's precomputed CSR entry run (indexed path only).
+/// The shared per-dimension coordinate body of the group-by scan and
+/// GroupingCoordinates: appends `fact`'s coordinates in `category` of
+/// dimension `i` to `list`. With a compiled `index` the unique ancestor
+/// at the grouping category is one array lookup per relation entry.
+/// Under the snapshot's gate every closure lifespan is Always, so the
+/// coordinate lifespan is the entry lifespan and the probability the
+/// entry probability times the closure probability — accumulated per
+/// value in entry order with the same union/noisy-or CharacterizedBy
+/// applies, and kept sorted by ValueId (a linear insertion — coordinate
+/// lists are tiny) like the filtered characterization list. The two
+/// paths are therefore bit-identical; without an index the memoized
+/// characterization scan runs. `span`, when non-null, is the fact's
+/// precomputed CSR entry run (indexed path only).
 void AppendDimCoordinates(const MdObject& mo, std::size_t i,
                           CategoryTypeIndex category, Chronon prob_at,
                           const RollupIndex* index, FactId fact,
@@ -584,11 +574,15 @@ void AppendDimCoordinates(const MdObject& mo, std::size_t i,
   }
 }
 
+/// The fact's coordinates in every grouping category (top-grouped
+/// dimensions contribute their top value), or nullopt when some
+/// dimension has none (the fact then joins no group) — the per-fact
+/// input of FoldAggregateAppend's delta scan. `indexes` (empty, or one
+/// slot per dimension) carries the flat rollup snapshots to consult.
 std::optional<CoordLists> GroupingCoordinates(
     const MdObject& mo, const AggregateSpec& spec, FactId fact,
     const std::vector<std::shared_ptr<const RollupIndex>>& indexes,
-    Arena* arena, const FactEntryLists* fact_entries = nullptr,
-    std::size_t fact_ordinal = 0) {
+    Arena* arena) {
   const std::size_t n = mo.dimension_count();
   CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
   per_dim.reserve(n);
@@ -604,91 +598,37 @@ std::optional<CoordLists> GroupingCoordinates(
     }
     const RollupIndex* index =
         i < indexes.size() ? indexes[i].get() : nullptr;
-    const FactDimRelation::EntrySpan* span =
-        (index != nullptr && fact_entries != nullptr)
-            ? &(*fact_entries)[i][fact_ordinal]
-            : nullptr;
     AppendDimCoordinates(mo, i, spec.grouping[i], spec.prob_at, index, fact,
-                         span, per_dim[i]);
+                         nullptr, per_dim[i]);
     if (per_dim[i].empty()) return std::nullopt;
   }
   return per_dim;
 }
 
-/// One group under construction. The group's time per dimension is the
+/// One group's formation state. The group's time per dimension is the
 /// intersection over members of their characterization spans;
 /// probabilities multiply over members.
 struct GroupAccum {
-  GroupAccum() = default;
-  /// Kernel-path construction: the growable per-member lists live in the
-  /// owning partition's arena (the default heap vectors remain for the
-  /// ordered-map baseline).
-  explicit GroupAccum(Arena* arena)
-      : members(ArenaAllocator<FactId>(arena)),
-        member_probs(ArenaAllocator<double>(arena)) {}
-
-  ArenaVec<FactId> members;
+  std::vector<FactId> members;
   std::vector<Lifespan> life_per_dim;
   std::vector<double> prob_per_dim;
   /// Per member: probability that the member belongs to this group
   /// (product of its characterization probabilities across dimensions);
   /// feeds expected counts.
-  ArenaVec<double> member_probs;
+  std::vector<double> member_probs;
 };
 
 using GroupKey = std::vector<ValueId>;
-using GroupMap = std::map<GroupKey, GroupAccum>;
 
-/// Folds one fact's coordinate cross product into `groups` — the
-/// ordered-map baseline engine, kept byte-for-byte as the no-context
-/// ground truth the kernels are differentially tested against. Per-group
-/// accumulation order is facts ascending, the order the kernels follow
-/// too.
-void AccumulateFact(std::size_t n, FactId fact, const CoordLists& per_dim,
-                    GroupMap& groups) {
-  // Enumerate the cross product of this fact's coordinate lists.
-  std::vector<std::size_t> cursor(n, 0);
-  while (true) {
-    GroupKey key(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      key[i] = per_dim[i][cursor[i]].value;
-    }
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    GroupAccum& group = it->second;
-    if (inserted) {
-      group.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-      group.prob_per_dim.assign(n, 1.0);
-    }
-    group.members.push_back(fact);
-    double member_prob = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Coordinate& c = per_dim[i][cursor[i]];
-      if (c.life.has_value()) {
-        group.life_per_dim[i] = group.life_per_dim[i].Intersect(*c.life);
-      }
-      group.prob_per_dim[i] *= c.prob;
-      member_prob *= c.prob;
-    }
-    group.member_probs.push_back(member_prob);
-    // Advance the cross-product cursor.
-    std::size_t i = 0;
-    while (i < n && ++cursor[i] == per_dim[i].size()) {
-      cursor[i] = 0;
-      ++i;
-    }
-    if (i == n) break;
-  }
-}
-
-/// Per-group evaluation shared by both paths: canonical member order,
-/// expected count, g(group), and the Section 4.2 result lifespan.
-/// Mutates only the group itself (sorting its members), so distinct
-/// groups evaluate concurrently.
+/// A group's settled value and Section 4.2 result lifespan.
 struct GroupEval {
   double value = 0.0;
   Lifespan result_life;
 };
 
+/// Evaluates a group from its member list: canonical member order,
+/// expected count, g(group), and the Section 4.2 result lifespan.
+/// FoldAggregateAppend's path for groups that only appended facts join.
 Result<GroupEval> EvaluateGroup(const MdObject& mo, const AggregateSpec& spec,
                                 GroupAccum& group) {
   GroupEval eval;
@@ -731,20 +671,10 @@ Result<GroupEval> EvaluateGroup(const MdObject& mo, const AggregateSpec& spec,
   return eval;
 }
 
-// ---- Group-by kernels ------------------------------------------------------
-
-/// Which engine builds the groups (docs/groupby_kernel.md). Callers
-/// without an execution context keep the ordered-map engine as the
-/// differential baseline; a context engages the dense-slot kernel when
-/// every grouping dimension is covered by a flat rollup table (or grouped
-/// at top) and the slot cross-product fits the context's threshold, and
-/// the open-addressing flat-hash kernel otherwise.
-enum class GroupEngine { kOrderedMap, kDenseSlots, kFlatHash };
-
-/// Per-fact aggregate input on the kernel paths, computed once per fact
-/// (riding the coordinate pass's fan-out) and folded into every group the
-/// fact joins, in member order — the same per-member entry scan
-/// AggFunction::Evaluate and EvaluateGroup perform per group.
+/// Per-fact aggregate input of one accumulator class, computed once per
+/// fact (riding the coordinate pass's fan-out) and folded into every
+/// group the fact joins, in member order — the same per-member entry
+/// scan AggFunction::Evaluate and EvaluateGroup perform per group.
 struct FactContribution {
   FactContribution() = default;
   explicit FactContribution(Arena* arena)
@@ -771,25 +701,17 @@ struct FactContribution {
 /// of representation lookups and strtod per entry.
 using NumericValueCache = std::unordered_map<std::uint64_t, Result<double>>;
 
-FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
-                                FactId fact,
-                                const FactEntryLists* fact_entries,
+FactContribution ContributionOf(const MdObject& mo,
+                                const AggFunction& function,
+                                const FactEntryLists& fact_entries,
                                 std::size_t fact_ordinal,
-                                const NumericValueCache* numeric_values,
+                                const NumericValueCache& numeric_values,
                                 Arena* arena) {
   FactContribution c(arena);
-  const AggregateFunctionKind kind = spec.function.kind();
-  const auto entry_list = [&](std::size_t dim) -> FactDimRelation::EntrySpan {
-    if (fact_entries == nullptr) {
-      return FactDimRelation::EntrySpan::Of(
-          mo.relation(dim).EntryIndexesForFact(fact));
-    }
-    return (*fact_entries)[dim][fact_ordinal];
-  };
-  for (std::size_t dim : spec.function.args()) {
+  for (std::size_t dim : function.args()) {
     if (dim >= mo.dimension_count()) continue;
     const FactDimRelation& relation = mo.relation(dim);
-    const FactDimRelation::EntrySpan list = entry_list(dim);
+    const FactDimRelation::EntrySpan list = fact_entries[dim][fact_ordinal];
     // Fast path for nontemporal data: a nonempty union of Always spans is
     // Always, and intersecting with Always is the identity.
     bool all_always = !list.empty();
@@ -811,24 +733,18 @@ FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
     c.arg_life = c.arg_life.has_value() ? c.arg_life->Intersect(member)
                                         : std::move(member);
   }
-  if (spec.function.args().empty()) return c;
-  const std::size_t dim = spec.function.args().front();
+  if (function.args().empty()) return c;
+  const std::size_t dim = function.args().front();
   const Dimension& dimension = mo.dimension(dim);
   const FactDimRelation& relation = mo.relation(dim);
-  for (std::size_t e : entry_list(dim)) {
+  for (std::size_t e : fact_entries[dim][fact_ordinal]) {
     const FactDimRelation::Entry& entry = relation.entries()[e];
     if (entry.value == dimension.top_value()) continue;  // unknown
-    if (kind == AggregateFunctionKind::kCount) {
+    if (function.kind() == AggregateFunctionKind::kCount) {
       ++c.counted;
       continue;
     }
-    Result<double> value = [&]() -> Result<double> {
-      if (numeric_values != nullptr) {
-        auto it = numeric_values->find(entry.value.raw());
-        if (it != numeric_values->end()) return it->second;
-      }
-      return dimension.NumericValueOf(entry.value, spec.prob_at);
-    }();
+    const Result<double>& value = numeric_values.at(entry.value.raw());
     if (!value.ok()) {
       c.failed = true;
       c.error = value.status();
@@ -839,124 +755,391 @@ FactContribution ContributionOf(const MdObject& mo, const AggregateSpec& spec,
   return c;
 }
 
-/// One group under construction on a kernel path: the baseline
-/// accumulator plus the streaming aggregate state EvaluateGroup would
-/// otherwise recompute from the member list.
-struct KernelGroup {
-  KernelGroup() = default;
-  explicit KernelGroup(Arena* arena) : base(arena) {}
+// ---- The group-by scan -----------------------------------------------------
 
-  GroupAccum base;
-  AggFunction::Accumulator agg;
-  double expected = 0.0;
-  Lifespan result_life = Lifespan::AlwaysSpan();
-  Status error;
-  bool failed = false;
+/// Functions sharing an argument dimension and pair-vs-value reading
+/// share one contribution pass, one accumulator per group and one sticky
+/// error — the Accumulator keeps count/sum/min/max regardless of which
+/// Finish will read it, so the shared state is exactly what running each
+/// function alone would have built.
+struct AccumClass {
+  std::size_t dim = 0;
+  bool counts = false;     // COUNT reads pairs; SUM/AVG/MIN/MAX read values
+  std::size_t exemplar = 0;  // index into the scanned functions
+  bool bad_dim = false;      // dim >= dimension_count: error only if groups
 };
 
-/// Per-worker state of a kernel run. The dense engine owns a contiguous
-/// slot range: group_of_slot is the range-local slot -> group indirection
-/// (4 bytes per owned slot, not a per-slot accumulator, so untouched
-/// slots cost only the sentinel), groups fill in touch order and sort by
-/// slot at the merge. The flat-hash engine interns keys into one
-/// fixed-stride buffer probed through the open-addressing index.
-struct KernelPartition {
-  /// All growable partition state bumps the partition's own arena (each
-  /// partition is scanned by exactly one task, so arenas never race);
-  /// only the open-addressing index keeps heap storage, whose rehashes
-  /// are logarithmic in the group count.
-  explicit KernelPartition(Arena* a)
-      : arena(a),
-        group_of_slot(ArenaAllocator<std::uint32_t>(a)),
+constexpr std::size_t kNoClass = std::numeric_limits<std::size_t>::max();
+
+/// What one scan folds (docs/groupby_kernel.md). AggregateStream asks for
+/// member counts and function accumulators; AggregateFormation also asks
+/// for the member lists and the per-group state its result MO records.
+struct ScanRequest {
+  const std::vector<CategoryTypeIndex>& grouping;
+  Chronon prob_at;
+  const std::vector<AggFunction>& functions;
+  /// Facts aligned with mo.facts(); false entries are skipped. Null means
+  /// every fact participates.
+  const std::vector<bool>* keep = nullptr;
+  /// Record every (group, member) incidence for ScanResult::MemberLists.
+  bool collect_members = false;
+  /// Fold per group the live dimensions' lifespan intersections and
+  /// probability products, the expected count and function 0's Section
+  /// 4.2 result lifespan, each in member order.
+  bool group_state = false;
+  /// The Section 3.4 gate of the parallel path; asked only when the
+  /// context wants to parallelize.
+  std::function<bool()> summarizable;
+};
+
+/// Per-worker state of a scan. The dense engine owns a contiguous slot
+/// range: group_of_slot is the range-local slot -> group indirection (4
+/// bytes per owned slot, so untouched slots cost only the sentinel),
+/// groups fill in touch order and sort by slot at the merge. The
+/// flat-hash engine interns keys into one fixed-stride buffer probed
+/// through the open-addressing index. Everything growable but the index,
+/// the error slots and the lifespans bumps the partition's own arena
+/// (each partition is scanned by exactly one task, so arenas never race).
+struct ScanPartition {
+  explicit ScanPartition(Arena* a)
+      : group_of_slot(ArenaAllocator<std::uint32_t>(a)),
         slot_of_group(ArenaAllocator<std::uint64_t>(a)),
         key_storage(ArenaAllocator<ValueId>(a)),
-        groups(ArenaAllocator<KernelGroup>(a)) {}
+        members(ArenaAllocator<std::size_t>(a)),
+        accums(ArenaAllocator<AggFunction::Accumulator>(a)),
+        failed(ArenaAllocator<unsigned char>(a)),
+        inc_group(ArenaAllocator<std::uint32_t>(a)),
+        inc_fact(ArenaAllocator<FactId>(a)),
+        prob_per_dim(ArenaAllocator<double>(a)),
+        expected(ArenaAllocator<double>(a)) {}
 
   std::uint64_t slot_begin = 0;
   std::uint64_t slot_end = 0;
-  Arena* arena = nullptr;
   ArenaVec<std::uint32_t> group_of_slot;
   ArenaVec<std::uint64_t> slot_of_group;
   FlatHashGroupIndex index;
-  ArenaVec<ValueId> key_storage;  // stride n
-  ArenaVec<KernelGroup> groups;
+  ArenaVec<ValueId> key_storage;              // stride = live dim count
+  ArenaVec<std::size_t> members;              // one per group
+  ArenaVec<AggFunction::Accumulator> accums;  // stride = class count
+  ArenaVec<unsigned char> failed;             // stride = class count
+  std::vector<Status> errors;                 // stride = class count
+  /// Membership incidences in scan order (ascending fact within each
+  /// group, since the scan walks facts ascending); collect_members only.
+  ArenaVec<std::uint32_t> inc_group;
+  ArenaVec<FactId> inc_fact;
+  /// group_state only.
+  std::vector<Lifespan> life_per_dim;  // stride = live dim count
+  ArenaVec<double> prob_per_dim;       // stride = live dim count
+  ArenaVec<double> expected;           // one per group
+  std::vector<Lifespan> result_life;   // one per group
 };
 
-/// The dense-slot and flat-hash group-by engines. Both accumulate group
-/// state per fact — members ascending, the same order the baseline builds
-/// groups in — and emit groups in canonical lexicographic key order
-/// (ascending slots ARE that order; flat-hash keys get one final sort),
-/// so the output bytes match the ordered map at any thread count. On the
-/// parallel path the dense engine partitions the slot space into
-/// contiguous ranges and the flat-hash engine partitions keys by hash;
-/// either way every worker scans all facts and accumulates only the
-/// groups it owns, so each group is built whole by one worker.
-Status RunGroupByKernel(
-    const MdObject& mo, const AggregateSpec& spec, GroupEngine engine,
-    const DenseSlotSpace& space,
-    const std::vector<std::optional<CoordLists>>& coords,
-    const FactEntryLists* fact_entries, bool parallel, ExecContext* exec,
-    std::vector<GroupKey>& keys, std::vector<GroupAccum>& accums,
-    std::vector<GroupEval>& evals) {
+/// A finished scan: groups in canonical lexicographic key order (over
+/// the live dimensions), each built whole by one partition.
+struct ScanResult {
+  struct GroupRef {
+    std::uint32_t partition;
+    std::uint32_t ordinal;
+  };
+
+  /// Non-top-grouped dimensions, ascending.
+  std::vector<std::size_t> live;
+  std::vector<AccumClass> classes;
+  /// Per scanned function: its accumulator class, or kNoClass for
+  /// argument-less SetCount (which settles from member counts).
+  std::vector<std::size_t> class_of;
+  /// Flat rollup snapshots per dimension; kept alive for `space`.
+  std::vector<std::shared_ptr<const RollupIndex>> indexes;
+  bool dense = false;
+  DenseSlotSpace space;
+  std::vector<ScanPartition> parts;
+  std::vector<GroupRef> order;
+
+  const ScanPartition& part(std::size_t t) const {
+    return parts[order[t].partition];
+  }
+  std::size_t ordinal(std::size_t t) const { return order[t].ordinal; }
+
+  /// The live-dimension grouping key of canonical group `t`.
+  void KeyOf(std::size_t t, std::vector<ValueId>& key) const {
+    if (dense) {
+      space.KeyOf(part(t).slot_of_group[ordinal(t)], key);
+    } else {
+      const std::size_t nl = live.size();
+      const ValueId* base = part(t).key_storage.data() + ordinal(t) * nl;
+      key.assign(base, base + nl);
+    }
+  }
+
+  /// Per canonical group, its member facts ascending (collect_members):
+  /// the scan-order incidence logs scattered into per-group lists.
+  std::vector<std::vector<FactId>> MemberLists() const {
+    std::vector<std::vector<FactId>> lists(order.size());
+    std::vector<std::vector<std::uint32_t>> position(parts.size());
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      position[p].resize(parts[p].members.size());
+    }
+    for (std::size_t t = 0; t < order.size(); ++t) {
+      position[order[t].partition][order[t].ordinal] =
+          static_cast<std::uint32_t>(t);
+      lists[t].reserve(part(t).members[ordinal(t)]);
+    }
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      const ScanPartition& scan_part = parts[p];
+      for (std::size_t e = 0; e < scan_part.inc_group.size(); ++e) {
+        lists[position[p][scan_part.inc_group[e]]].push_back(
+            scan_part.inc_fact[e]);
+      }
+    }
+    return lists;
+  }
+};
+
+/// The grouping checks AggregateFormation and AggregateStream share.
+Status ValidateGrouping(const MdObject& mo,
+                        const std::vector<CategoryTypeIndex>& grouping,
+                        const char* op) {
+  if (grouping.size() != mo.dimension_count()) {
+    return Status::InvalidArgument(
+        StrCat(op, " got ", grouping.size(), " grouping categories for a ",
+               mo.dimension_count(), "-dimensional MO"));
+  }
+  for (std::size_t i = 0; i < grouping.size(); ++i) {
+    if (grouping[i] >= mo.dimension(i).type().category_count()) {
+      return Status::InvalidArgument(
+          StrCat("grouping category ", grouping[i],
+                 " out of range for dimension '", mo.dimension(i).name(),
+                 "'"));
+    }
+  }
+  return Status::OK();
+}
+
+/// The dense kernel's slot threshold; a context-free run uses the
+/// ExecContext default.
+std::uint64_t MaxDenseSlots(const ExecContext* exec) {
+  return exec != nullptr ? exec->max_dense_groupby_slots
+                         : ExecContext().max_dense_groupby_slots;
+}
+
+/// Runs fn(begin, end, arena) over [0, count): in num_threads * 4 chunks
+/// on the pool, each bumping its own worker arena, when `parallel`;
+/// otherwise once, on the coordinator arena (the heap without a context).
+void ForEachChunk(ExecContext* exec, bool parallel, std::size_t count,
+                  const std::function<void(std::size_t, std::size_t,
+                                           Arena*)>& fn) {
+  if (!parallel) {
+    fn(0, count, exec != nullptr ? &exec->arena : nullptr);
+    return;
+  }
+  const std::size_t chunks = std::min(count, exec->num_threads * 4);
+  exec->EnsureWorkerArenas(chunks);
+  exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
+    fn(chunk * count / chunks, (chunk + 1) * count / chunks,
+       &exec->worker_arena(chunk));
+  });
+  exec->stats.tasks += chunks;
+}
+
+/// The one group-by kernel behind AggregateFormation and AggregateStream
+/// (docs/groupby_kernel.md). Top-grouped dimensions are pruned (they
+/// contribute one fixed coordinate with probability 1, so skipping them
+/// changes no group); the live dimensions' coordinates and every
+/// accumulator class's per-fact contribution are computed once per fact;
+/// then the dense-slot engine (every live dimension covered by a flat
+/// rollup table and the slot cross-product within the threshold) or the
+/// flat-hash engine folds each fact into its groups in ascending fact
+/// order. On the parallel path the dense engine partitions the slot space
+/// into contiguous ranges and the flat-hash engine partitions keys by
+/// hash; every worker scans all facts and accumulates only the groups it
+/// owns, so each group is built whole by one worker and the canonical
+/// order — ascending slots, or one lexicographic key sort — is the same
+/// at any thread count.
+ScanResult RunGroupScan(const MdObject& mo, const ScanRequest& request,
+                        ExecContext* exec) {
   const std::vector<FactId>& facts = mo.facts();  // sorted by id
   const std::size_t n = mo.dimension_count();
-  const AggregateFunctionKind kind = spec.function.kind();
-  const bool needs_data = !spec.function.args().empty();
-  const bool bad_dim = needs_data && spec.function.args().front() >= n;
-
-  // Per-fact aggregate inputs, computed once up front (pure reads on the
-  // MO, so they fan out like the coordinate pass). Numeric parsing is
-  // hoisted into a per-distinct-value cache first — sequentially, since
-  // NumericValueOf reads lazily memoized dimension state.
-  NumericValueCache numeric_values;
-  const NumericValueCache* numeric_values_ptr = nullptr;
-  if (needs_data && !bad_dim && kind != AggregateFunctionKind::kCount) {
-    const std::size_t dim = spec.function.args().front();
-    const Dimension& dimension = mo.dimension(dim);
-    for (const FactDimRelation::Entry& entry : mo.relation(dim).entries()) {
-      if (entry.value == dimension.top_value()) continue;
-      const std::uint64_t raw = entry.value.raw();
-      if (numeric_values.find(raw) != numeric_values.end()) continue;
-      numeric_values.emplace(raw,
-                             dimension.NumericValueOf(entry.value,
-                                                      spec.prob_at));
+  ScanResult scan;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (request.grouping[i] != mo.dimension(i).type().top()) {
+      scan.live.push_back(i);
     }
-    numeric_values_ptr = &numeric_values;
   }
-  std::vector<FactContribution> contributions;
-  if (needs_data && !bad_dim) {
-    contributions.resize(facts.size());
-    auto fill_chunk = [&](std::size_t begin, std::size_t end, Arena* arena) {
-      for (std::size_t f = begin; f < end; ++f) {
-        if (coords[f].has_value()) {
-          contributions[f] = ContributionOf(mo, spec, facts[f], fact_entries,
-                                            f, numeric_values_ptr, arena);
-        }
+  const std::vector<std::size_t>& live = scan.live;
+  const std::size_t nl = live.size();
+
+  std::size_t kept = facts.size();
+  if (request.keep != nullptr) {
+    kept = static_cast<std::size_t>(
+        std::count(request.keep->begin(), request.keep->end(), true));
+  }
+  bool parallel = exec != nullptr && exec->WantsParallel(kept);
+  if (parallel && !request.summarizable()) {
+    // Per-worker partial groups are safely combinable exactly when every
+    // function is distributive and the paths strict and the hierarchies
+    // partitioning (Section 3.4) — the same rule under which
+    // PreAggregateCache reuses materialized partials. Anything else
+    // conservatively runs sequentially.
+    ++exec->stats.sequential_fallbacks;
+    parallel = false;
+  }
+
+  // Compiled rollup snapshots for the live dimensions. A dimension whose
+  // snapshot fails the strictness/non-temporal gate takes the memoized
+  // traversal — results are bit-identical either way.
+  scan.indexes.resize(n);
+  for (std::size_t i : live) {
+    scan.indexes[i] = RollupIndex::FlatFor(mo.dimension(i), exec);
+  }
+
+  // The accumulator classes behind the functions.
+  scan.class_of.assign(request.functions.size(), kNoClass);
+  for (std::size_t k = 0; k < request.functions.size(); ++k) {
+    const AggFunction& fn = request.functions[k];
+    if (fn.args().empty()) continue;  // SetCount folds from member counts
+    const std::size_t dim = fn.args().front();
+    const bool counts = fn.kind() == AggregateFunctionKind::kCount;
+    std::size_t c = 0;
+    for (; c < scan.classes.size(); ++c) {
+      if (scan.classes[c].dim == dim && scan.classes[c].counts == counts) {
+        break;
       }
-    };
-    if (parallel) {
-      const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-      exec->EnsureWorkerArenas(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-        fill_chunk(chunk * facts.size() / chunks,
-                   (chunk + 1) * facts.size() / chunks,
-                   &exec->worker_arena(chunk));
-      });
-      exec->stats.tasks += chunks;
-    } else {
-      fill_chunk(0, facts.size(), &exec->arena);
     }
+    if (c == scan.classes.size()) {
+      scan.classes.push_back(AccumClass{dim, counts, k, dim >= n});
+    }
+    scan.class_of[k] = c;
+  }
+  const std::vector<AccumClass>& classes = scan.classes;
+  const std::size_t nclasses = classes.size();
+  // The class whose contributions carry function 0's result lifespan.
+  const std::size_t life_class =
+      request.group_state && !request.functions.empty() &&
+              scan.class_of[0] != kNoClass &&
+              !classes[scan.class_of[0]].bad_dim
+          ? scan.class_of[0]
+          : kNoClass;
+
+  // Per-fact entry lists for the indexed live dimensions and the
+  // classes' argument dimensions.
+  std::vector<bool> wanted(n, false);
+  for (std::size_t i : live) wanted[i] = scan.indexes[i] != nullptr;
+  for (const AccumClass& cls : classes) {
+    if (!cls.bad_dim) wanted[cls.dim] = true;
+  }
+  const FactEntryLists fact_entries = BuildFactEntryLists(mo, wanted);
+
+  // 1. Live coordinates per kept fact, in fact order. A fact with an
+  //    empty live list joins no group, and a false keep entry is skipped
+  //    outright — selection pushdown without a materialized Select.
+  //    Coordinate lists bump the chunk's arena.
+  std::vector<std::optional<CoordLists>> coords(facts.size());
+  auto live_coords = [&](std::size_t f,
+                         Arena* arena) -> std::optional<CoordLists> {
+    CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
+    per_dim.reserve(nl);
+    for (std::size_t j = 0; j < nl; ++j) {
+      per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
+    }
+    for (std::size_t j = 0; j < nl; ++j) {
+      const std::size_t i = live[j];
+      const RollupIndex* index = scan.indexes[i].get();
+      AppendDimCoordinates(mo, i, request.grouping[i], request.prob_at,
+                           index, facts[f],
+                           index != nullptr ? &fact_entries[i][f] : nullptr,
+                           per_dim[j]);
+      if (per_dim[j].empty()) return std::nullopt;
+    }
+    return per_dim;
+  };
+  if (parallel) {
+    // Warm the lazily written closure memos so the fan-out only ever
+    // reads the dimensions.
+    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
+  }
+  ForEachChunk(exec, parallel, facts.size(),
+               [&](std::size_t begin, std::size_t end, Arena* arena) {
+                 for (std::size_t f = begin; f < end; ++f) {
+                   if (request.keep == nullptr || (*request.keep)[f]) {
+                     coords[f] = live_coords(f, arena);
+                   }
+                 }
+               });
+
+  // 2. Per-class fact contributions. Numeric parsing is hoisted into a
+  //    per-distinct-value cache first — sequentially, since
+  //    NumericValueOf reads lazily memoized dimension state.
+  std::vector<std::vector<FactContribution>> contribs(nclasses);
+  for (std::size_t c = 0; c < nclasses; ++c) {
+    const AccumClass& cls = classes[c];
+    if (cls.bad_dim) continue;
+    NumericValueCache numeric_values;
+    if (!cls.counts) {
+      const Dimension& dimension = mo.dimension(cls.dim);
+      for (const FactDimRelation::Entry& entry :
+           mo.relation(cls.dim).entries()) {
+        if (entry.value == dimension.top_value()) continue;
+        const std::uint64_t raw = entry.value.raw();
+        if (numeric_values.find(raw) != numeric_values.end()) continue;
+        numeric_values.emplace(
+            raw, dimension.NumericValueOf(entry.value, request.prob_at));
+      }
+    }
+    const AggFunction& exemplar = request.functions[cls.exemplar];
+    contribs[c].resize(facts.size());
+    ForEachChunk(exec, parallel, facts.size(),
+                 [&](std::size_t begin, std::size_t end, Arena* arena) {
+                   for (std::size_t f = begin; f < end; ++f) {
+                     if (coords[f].has_value()) {
+                       contribs[c][f] =
+                           ContributionOf(mo, exemplar, fact_entries, f,
+                                          numeric_values, arena);
+                     }
+                   }
+                 });
   }
 
+  // 3. Engine selection over the live axes (dead dimensions never widen
+  //    the slot product).
+  bool all_indexed = true;
+  std::vector<DenseSlotSpace::GroupingDim> grouping_dims(nl);
+  for (std::size_t j = 0; j < nl && all_indexed; ++j) {
+    const std::size_t i = live[j];
+    all_indexed = scan.indexes[i] != nullptr;
+    if (all_indexed) {
+      grouping_dims[j] = {scan.indexes[i].get(), request.grouping[i]};
+    }
+  }
+  if (all_indexed) {
+    switch (DenseSlotSpace::Build(grouping_dims, MaxDenseSlots(exec),
+                                  &scan.space)) {
+      case DenseSlotSpace::Plan::kDense:
+        scan.dense = true;
+        break;
+      case DenseSlotSpace::Plan::kTooManySlots:
+        if (exec != nullptr) ++exec->stats.dense_slot_fallbacks;
+        break;
+      case DenseSlotSpace::Plan::kNotIndexed:
+        break;
+    }
+  }
+  if (exec != nullptr) {
+    ++(scan.dense ? exec->stats.dense_groupby_runs
+                  : exec->stats.flat_hash_runs);
+  }
+
+  // 4. The partitioned scan.
   const std::size_t num_partitions = parallel ? exec->num_threads : 1;
   if (parallel) exec->EnsureWorkerArenas(num_partitions);
-  std::vector<KernelPartition> parts;
+  std::vector<ScanPartition>& parts = scan.parts;
   parts.reserve(num_partitions);
   for (std::size_t p = 0; p < num_partitions; ++p) {
-    parts.emplace_back(parallel ? &exec->worker_arena(p) : &exec->arena);
+    parts.emplace_back(parallel ? &exec->worker_arena(p)
+                       : exec != nullptr ? &exec->arena
+                                         : nullptr);
   }
-  if (engine == GroupEngine::kDenseSlots) {
-    const std::uint64_t slots = space.slot_count();
+  if (scan.dense) {
+    const std::uint64_t slots = scan.space.slot_count();
     const std::uint64_t base = slots / num_partitions;
     const std::uint64_t extra = slots % num_partitions;
     std::uint64_t begin = 0;
@@ -970,106 +1153,130 @@ Status RunGroupByKernel(
     }
   }
 
+  auto open_group = [&](ScanPartition& part) {
+    const auto g = static_cast<std::uint32_t>(part.members.size());
+    part.members.push_back(0);
+    part.accums.insert(part.accums.end(), nclasses,
+                       AggFunction::Accumulator{});
+    part.failed.insert(part.failed.end(), nclasses, 0);
+    part.errors.resize(part.errors.size() + nclasses);
+    if (request.group_state) {
+      part.life_per_dim.resize(part.life_per_dim.size() + nl,
+                               Lifespan::AlwaysSpan());
+      part.prob_per_dim.insert(part.prob_per_dim.end(), nl, 1.0);
+      part.expected.push_back(0.0);
+      part.result_life.push_back(Lifespan::AlwaysSpan());
+    }
+    return g;
+  };
+  const DenseSlotSpace& space = scan.space;
   auto scan_partition = [&](std::size_t p) {
-    KernelPartition& part = parts[p];
-    std::vector<std::size_t> cursor(n);
-    std::vector<ValueId> scratch(n);
+    ScanPartition& part = parts[p];
+    std::vector<std::size_t> cursor(nl);
+    std::vector<ValueId> scratch(nl);
     for (std::size_t f = 0; f < facts.size(); ++f) {
       if (!coords[f].has_value()) continue;
       const CoordLists& per_dim = *coords[f];
       std::fill(cursor.begin(), cursor.end(), 0);
-      // Enumerate the cross product of the fact's coordinate lists.
+      // Enumerate the cross product of the fact's live coordinate lists
+      // (one iteration — the single global group — when nl == 0).
       while (true) {
-        KernelGroup* group = nullptr;
-        bool inserted = false;
-        if (engine == GroupEngine::kDenseSlots) {
-          // Row-major slot: dimension 0 is the most significant digit and
-          // each digit is the coordinate's rank in its grouping category,
-          // so ascending slots reproduce the map's lexicographic order.
+        std::uint32_t g = FlatHashGroupIndex::kNoGroup;
+        if (scan.dense) {
+          // Row-major slot over the live axes, lowest dimension index
+          // most significant — ascending slots are the canonical order.
           std::uint64_t slot = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            slot = slot * space.cardinality(i) +
-                   (space.fixed(i)
-                        ? 0
-                        : space.OrdinalOf(i, per_dim[i][cursor[i]].dense));
+          for (std::size_t j = 0; j < nl; ++j) {
+            slot = slot * space.cardinality(j) +
+                   space.OrdinalOf(j, per_dim[j][cursor[j]].dense);
           }
           if (slot >= part.slot_begin && slot < part.slot_end) {
-            std::uint32_t& g = part.group_of_slot[static_cast<std::size_t>(
-                slot - part.slot_begin)];
-            if (g == FlatHashGroupIndex::kNoGroup) {
-              g = static_cast<std::uint32_t>(part.groups.size());
-              part.groups.emplace_back(part.arena);
+            std::uint32_t& mapped = part.group_of_slot[
+                static_cast<std::size_t>(slot - part.slot_begin)];
+            if (mapped == FlatHashGroupIndex::kNoGroup) {
+              mapped = open_group(part);
               part.slot_of_group.push_back(slot);
-              inserted = true;
             }
-            group = &part.groups[g];
+            g = mapped;
           }
         } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            scratch[i] = per_dim[i][cursor[i]].value;
+          for (std::size_t j = 0; j < nl; ++j) {
+            scratch[j] = per_dim[j][cursor[j]].value;
           }
-          const std::uint64_t hash = HashValueIds(scratch.data(), n);
+          const std::uint64_t hash = HashValueIds(scratch.data(), nl);
           if (num_partitions == 1 || hash % num_partitions == p) {
-            const std::uint32_t g = part.index.FindOrInsert(
-                hash, static_cast<std::uint32_t>(part.groups.size()),
+            bool inserted = false;
+            g = part.index.FindOrInsert(
+                hash, static_cast<std::uint32_t>(part.members.size()),
                 [&](std::uint32_t ordinal) {
                   return std::equal(scratch.begin(), scratch.end(),
                                     part.key_storage.begin() +
                                         static_cast<std::ptrdiff_t>(
-                                            ordinal * n));
+                                            ordinal * nl));
                 },
                 &inserted);
             if (inserted) {
-              part.key_storage.insert(part.key_storage.end(), scratch.begin(),
-                                      scratch.end());
-              part.groups.emplace_back(part.arena);
+              part.key_storage.insert(part.key_storage.end(),
+                                      scratch.begin(), scratch.end());
+              open_group(part);
             }
-            group = &part.groups[g];
           }
         }
-        if (group != nullptr) {
-          if (inserted) {
-            group->base.life_per_dim.assign(n, Lifespan::AlwaysSpan());
-            group->base.prob_per_dim.assign(n, 1.0);
+        if (g != FlatHashGroupIndex::kNoGroup) {
+          ++part.members[g];
+          if (request.collect_members) {
+            part.inc_group.push_back(g);
+            part.inc_fact.push_back(facts[f]);
           }
-          group->base.members.push_back(facts[f]);
-          double member_prob = 1.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const Coordinate& c = per_dim[i][cursor[i]];
-            if (c.life.has_value()) {
-              group->base.life_per_dim[i] =
-                  group->base.life_per_dim[i].Intersect(*c.life);
-            }
-            group->base.prob_per_dim[i] *= c.prob;
-            member_prob *= c.prob;
-          }
-          group->expected += member_prob;
-          if (needs_data && !bad_dim) {
-            const FactContribution& c = contributions[f];
-            if (c.arg_life.has_value()) {
-              group->result_life = group->result_life.Intersect(*c.arg_life);
-            }
-            if (c.failed) {
-              if (!group->failed) {
-                group->failed = true;
-                group->error = c.error;
+          if (request.group_state) {
+            double member_prob = 1.0;
+            for (std::size_t j = 0; j < nl; ++j) {
+              const Coordinate& c = per_dim[j][cursor[j]];
+              const std::size_t at = static_cast<std::size_t>(g) * nl + j;
+              if (c.life.has_value()) {
+                part.life_per_dim[at] =
+                    part.life_per_dim[at].Intersect(*c.life);
               }
-            } else if (!group->failed) {
-              if (kind == AggregateFunctionKind::kCount) {
-                group->agg.AddCounted(c.counted);
+              part.prob_per_dim[at] *= c.prob;
+              member_prob *= c.prob;
+            }
+            part.expected[g] += member_prob;
+            if (life_class != kNoClass) {
+              const std::optional<Lifespan>& arg_life =
+                  contribs[life_class][f].arg_life;
+              if (arg_life.has_value()) {
+                part.result_life[g] =
+                    part.result_life[g].Intersect(*arg_life);
+              }
+            }
+          }
+          const std::size_t base = static_cast<std::size_t>(g) * nclasses;
+          for (std::size_t c = 0; c < nclasses; ++c) {
+            if (classes[c].bad_dim) continue;
+            const FactContribution& fc = contribs[c][f];
+            if (fc.failed) {
+              if (!part.failed[base + c]) {
+                part.failed[base + c] = 1;
+                part.errors[base + c] = fc.error;
+              }
+            } else if (!part.failed[base + c]) {
+              if (classes[c].counts) {
+                part.accums[base + c].AddCounted(fc.counted);
               } else {
-                for (double value : c.values) group->agg.Add(value);
+                for (double value : fc.values) {
+                  part.accums[base + c].Add(value);
+                }
               }
             }
           }
         }
         // Advance the cross-product cursor.
-        std::size_t i = 0;
-        while (i < n && ++cursor[i] == per_dim[i].size()) {
-          cursor[i] = 0;
-          ++i;
+        std::size_t j = 0;
+        while (j < nl && ++cursor[j] == per_dim[j].size()) {
+          cursor[j] = 0;
+          ++j;
         }
-        if (i == n) break;
+        if (j == nl) break;
       }
     }
   };
@@ -1082,23 +1289,18 @@ Status RunGroupByKernel(
     scan_partition(0);
   }
 
-  // Canonical group order: ascending slot for the dense engine (the
-  // partitions own ascending disjoint ranges), one lexicographic key sort
-  // for the flat-hash engine — both exactly the ordered map's iteration
-  // order.
-  struct GroupRef {
-    std::uint32_t partition;
-    std::uint32_t ordinal;
-  };
+  // 5. Canonical group order: ascending slot for the dense engine (the
+  //    partitions own ascending disjoint ranges), one lexicographic key
+  //    sort for the flat-hash engine.
   std::size_t total = 0;
-  for (const KernelPartition& part : parts) total += part.groups.size();
-  std::vector<GroupRef> order;
+  for (const ScanPartition& part : parts) total += part.members.size();
+  std::vector<ScanResult::GroupRef>& order = scan.order;
   order.reserve(total);
   const auto merge_start = std::chrono::steady_clock::now();
-  if (engine == GroupEngine::kDenseSlots) {
+  if (scan.dense) {
     for (std::size_t p = 0; p < parts.size(); ++p) {
-      KernelPartition& part = parts[p];
-      std::vector<std::uint32_t> by_slot(part.groups.size());
+      ScanPartition& part = parts[p];
+      std::vector<std::uint32_t> by_slot(part.members.size());
       for (std::uint32_t g = 0; g < by_slot.size(); ++g) by_slot[g] = g;
       std::sort(by_slot.begin(), by_slot.end(),
                 [&](std::uint32_t a, std::uint32_t b) {
@@ -1110,17 +1312,18 @@ Status RunGroupByKernel(
     }
   } else {
     for (std::size_t p = 0; p < parts.size(); ++p) {
-      for (std::uint32_t g = 0; g < parts[p].groups.size(); ++g) {
+      for (std::uint32_t g = 0; g < parts[p].members.size(); ++g) {
         order.push_back({static_cast<std::uint32_t>(p), g});
       }
     }
     std::sort(order.begin(), order.end(),
-              [&](const GroupRef& a, const GroupRef& b) {
+              [&](const ScanResult::GroupRef& a,
+                  const ScanResult::GroupRef& b) {
                 const ValueId* ka =
-                    parts[a.partition].key_storage.data() + a.ordinal * n;
+                    parts[a.partition].key_storage.data() + a.ordinal * nl;
                 const ValueId* kb =
-                    parts[b.partition].key_storage.data() + b.ordinal * n;
-                return std::lexicographical_compare(ka, ka + n, kb, kb + n);
+                    parts[b.partition].key_storage.data() + b.ordinal * nl;
+                return std::lexicographical_compare(ka, ka + nl, kb, kb + nl);
               });
   }
   if (parallel) {
@@ -1129,48 +1332,49 @@ Status RunGroupByKernel(
             std::chrono::steady_clock::now() - merge_start)
             .count());
   }
-
-  if (bad_dim && total > 0) {
-    // Every group's Evaluate would fail identically; surface it exactly
-    // as the baseline does for its first group.
-    return Status::InvalidArgument(
-        StrCat(spec.function.name(), " references dimension ",
-               spec.function.args().front(), " of a ", n,
-               "-dimensional MO"));
-  }
-  keys.reserve(total);
-  accums.reserve(total);
-  evals.reserve(total);
-  GroupKey key(n);
-  for (const GroupRef& ref : order) {
-    KernelPartition& part = parts[ref.partition];
-    KernelGroup& group = part.groups[ref.ordinal];
-    if (group.failed) return group.error;
-    if (engine == GroupEngine::kDenseSlots) {
-      space.KeyOf(part.slot_of_group[ref.ordinal], key);
-    } else {
-      const auto begin = part.key_storage.begin() +
-                         static_cast<std::ptrdiff_t>(ref.ordinal * n);
-      key.assign(begin, begin + static_cast<std::ptrdiff_t>(n));
-    }
-    // Members were appended in ascending fact order and each fact joins a
-    // given key at most once, so the list is already the canonical sorted
-    // set EvaluateGroup produces.
-    GroupEval eval;
-    if (kind == AggregateFunctionKind::kSetCount) {
-      eval.value = spec.expected_counts
-                       ? group.expected
-                       : static_cast<double>(group.base.members.size());
-    } else {
-      MDDC_ASSIGN_OR_RETURN(eval.value, spec.function.Finish(group.agg));
-    }
-    eval.result_life = group.result_life;
-    keys.push_back(key);
-    accums.push_back(std::move(group.base));
-    evals.push_back(eval);
-  }
-  return Status::OK();
+  return scan;
 }
+
+/// Function k's settled value per canonical group, with errors surfacing
+/// exactly as evaluating the groups one at a time in canonical order
+/// would: a bad argument dimension (only when there are groups), then
+/// each group's sticky contribution error or Finish failure. SetCount
+/// settles from the member count, or the expected count under
+/// `expected_counts` (which needs a group_state scan).
+Result<std::vector<double>> SettleFunction(const ScanResult& scan,
+                                           std::size_t k,
+                                           const AggFunction& fn,
+                                           std::size_t n,
+                                           bool expected_counts) {
+  std::vector<double> values;
+  values.reserve(scan.order.size());
+  const std::size_t c = scan.class_of[k];
+  if (c == kNoClass) {
+    for (std::size_t t = 0; t < scan.order.size(); ++t) {
+      values.push_back(
+          expected_counts
+              ? scan.part(t).expected[scan.ordinal(t)]
+              : static_cast<double>(scan.part(t).members[scan.ordinal(t)]));
+    }
+    return values;
+  }
+  if (scan.classes[c].bad_dim) {
+    if (scan.order.empty()) return values;
+    return Status::InvalidArgument(
+        StrCat(fn.name(), " references dimension ", fn.args().front(),
+               " of a ", n, "-dimensional MO"));
+  }
+  const std::size_t nclasses = scan.classes.size();
+  for (std::size_t t = 0; t < scan.order.size(); ++t) {
+    const ScanPartition& part = scan.part(t);
+    const std::size_t at = scan.ordinal(t) * nclasses + c;
+    if (part.failed[at]) return part.errors[at];
+    MDDC_ASSIGN_OR_RETURN(double value, fn.Finish(part.accums[at]));
+    values.push_back(value);
+  }
+  return values;
+}
+
 
 /// Steps 4-6 of aggregate formation, shared with FoldAggregateAppend:
 /// restrict the argument dimensions, build the result dimension under the
@@ -1350,20 +1554,8 @@ Result<MdObject> AssembleAggregateResult(
 Result<MdObject> AggregateFormation(const MdObject& mo,
                                     const AggregateSpec& spec,
                                     ExecContext* exec) {
-  if (spec.grouping.size() != mo.dimension_count()) {
-    return Status::InvalidArgument(
-        StrCat("aggregate formation got ", spec.grouping.size(),
-               " grouping categories for a ", mo.dimension_count(),
-               "-dimensional MO"));
-  }
-  for (std::size_t i = 0; i < spec.grouping.size(); ++i) {
-    if (spec.grouping[i] >= mo.dimension(i).type().category_count()) {
-      return Status::InvalidArgument(
-          StrCat("grouping category ", spec.grouping[i],
-                 " out of range for dimension '", mo.dimension(i).name(),
-                 "'"));
-    }
-  }
+  MDDC_RETURN_NOT_OK(
+      ValidateGrouping(mo, spec.grouping, "aggregate formation"));
   if (spec.enforce_aggregation_types) {
     MDDC_RETURN_NOT_OK(spec.function.CheckApplicable(mo));
   }
@@ -1375,163 +1567,60 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   const SummarizabilityReport summarizability =
       CheckSummarizability(mo, spec.function.kind(), spec.grouping);
 
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
-  const std::size_t n = mo.dimension_count();
-
-  // Everything arena-backed below (coordinates, contributions, kernel
-  // partition state) is scratch of this one formation; the guard rewinds
-  // the context's arenas on every exit path.
+  // Everything arena-backed in the scan is scratch of this one
+  // formation; the guard rewinds the context's arenas on every exit path.
   ArenaResetGuard arena_guard{exec};
 
-  bool parallel = exec != nullptr && exec->WantsParallel(facts.size());
-  if (parallel && !summarizability.summarizable) {
-    // Per-worker partial groups are safely combinable exactly when the
-    // function is distributive and the paths strict and the hierarchies
-    // partitioning (Section 3.4) — the same rule under which
-    // PreAggregateCache reuses materialized partials. Anything else
-    // (non-strict groupings, AVG, ...) conservatively runs sequentially.
-    ++exec->stats.sequential_fallbacks;
-    parallel = false;
-  }
+  // 1-3. One scan builds every group — members ascending, per-dimension
+  //      lifespans and probabilities, expected count, result lifespan and
+  //      g's accumulator, each folded in member order — in canonical key
+  //      order at any engine and thread count.
+  const std::vector<AggFunction> functions = {spec.function};
+  const ScanResult scan = RunGroupScan(
+      mo,
+      ScanRequest{.grouping = spec.grouping,
+                  .prob_at = spec.prob_at,
+                  .functions = functions,
+                  .collect_members = true,
+                  .group_state = true,
+                  .summarizable =
+                      [&] { return summarizability.summarizable; }},
+      exec);
+  const std::size_t n = mo.dimension_count();
+  MDDC_ASSIGN_OR_RETURN(
+      std::vector<double> values,
+      SettleFunction(scan, 0, spec.function, n, spec.expected_counts));
+  std::vector<std::vector<FactId>> members = scan.MemberLists();
 
-  // 0. Compiled rollup snapshots for the grouping dimensions. Any caller
-  //    with an execution context gets the indexed path (one thread
-  //    included); callers without one keep the untouched memoized engine
-  //    as ground truth. A dimension whose snapshot fails the
-  //    strictness/non-temporal gate falls back to traversal — results
-  //    are bit-identical either way, only the walk differs.
-  std::vector<std::shared_ptr<const RollupIndex>> indexes;
-  if (exec != nullptr) {
-    indexes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
-  // 0b. Per-fact entry lists for the dimensions the hot loops touch
-  //     (indexed grouping dimensions and the aggregate's argument
-  //     dimensions): one lockstep walk of each relation's by-fact tree
-  //     against the sorted fact vector replaces one tree lookup per
-  //     (fact, dimension) below.
-  FactEntryLists fact_entries;
-  const FactEntryLists* fact_entries_ptr = nullptr;
-  if (exec != nullptr) {
-    std::vector<bool> wanted(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (indexes[i] != nullptr) wanted[i] = true;
-    }
-    for (std::size_t dim : spec.function.args()) {
-      if (dim < n) wanted[dim] = true;
-    }
-    fact_entries = BuildFactEntryLists(mo, wanted);
-    fact_entries_ptr = &fact_entries;
-  }
-
-  // 1. Grouping coordinates per fact, in fact order. Coordinate lists
-  //    bump the context's arenas — per parallel chunk its own arena, so
-  //    workers never contend — and fall back to plain heap vectors for
-  //    context-free callers.
-  std::vector<std::optional<CoordLists>> coords(facts.size());
-  if (parallel) {
-    // Warm the lazily written closure memos so the fan-out below only
-    // ever reads the dimensions.
-    for (std::size_t i = 0; i < n; ++i) mo.dimension(i).WarmClosureMemo();
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->EnsureWorkerArenas(chunks);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * facts.size() / chunks;
-      const std::size_t end = (chunk + 1) * facts.size() / chunks;
-      Arena* arena = &exec->worker_arena(chunk);
-      for (std::size_t f = begin; f < end; ++f) {
-        coords[f] = GroupingCoordinates(mo, spec, facts[f], indexes, arena,
-                                        fact_entries_ptr, f);
-      }
-    });
-    exec->stats.tasks += chunks;
-  } else {
-    Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      coords[f] = GroupingCoordinates(mo, spec, facts[f], indexes, arena,
-                                      fact_entries_ptr, f);
-    }
-  }
-
-  // 2. Engine selection (docs/groupby_kernel.md). Any caller with an
-  //    execution context gets a kernel: dense slots when every grouping
-  //    dimension is either grouped at top or covered by a flat rollup
-  //    table AND the slot cross-product fits the context's threshold;
-  //    the flat-hash kernel otherwise. Context-free callers keep the
-  //    ordered-map baseline as differential ground truth.
-  GroupEngine engine = GroupEngine::kOrderedMap;
-  DenseSlotSpace space;
-  if (exec != nullptr) {
-    engine = GroupEngine::kFlatHash;
-    bool all_indexed = true;
-    std::vector<DenseSlotSpace::GroupingDim> grouping_dims(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) {
-        grouping_dims[i] = {nullptr, 0, mo.dimension(i).top_value()};
-      } else if (indexes[i] != nullptr) {
-        grouping_dims[i] = {indexes[i].get(), spec.grouping[i], ValueId{}};
-      } else {
-        all_indexed = false;
-        break;
-      }
-    }
-    if (all_indexed) {
-      switch (DenseSlotSpace::Build(grouping_dims,
-                                    exec->max_dense_groupby_slots, &space)) {
-        case DenseSlotSpace::Plan::kDense:
-          engine = GroupEngine::kDenseSlots;
-          break;
-        case DenseSlotSpace::Plan::kTooManySlots:
-          ++exec->stats.dense_slot_fallbacks;
-          break;
-        case DenseSlotSpace::Plan::kNotIndexed:
-          break;
-      }
-    }
-  }
-
-  // 3. Build and evaluate groups. Either engine yields groups in
-  //    canonical lexicographic key order with members in ascending fact
-  //    order, so the assembled result is byte-identical across engines
-  //    and thread counts.
+  // Widen the live-dimension state back to all n dimensions: a
+  // top-grouped dimension keys every group by its top value at Always
+  // with probability 1.
+  const std::size_t nl = scan.live.size();
+  GroupKey key(n);
+  for (std::size_t i = 0; i < n; ++i) key[i] = mo.dimension(i).top_value();
+  std::vector<ValueId> live_key;
   std::vector<GroupKey> keys;
   std::vector<GroupAccum> accums;
   std::vector<GroupEval> evals;
-  if (engine == GroupEngine::kOrderedMap) {
-    GroupMap groups;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!coords[f].has_value()) continue;
-      AccumulateFact(n, facts[f], *coords[f], groups);
+  keys.reserve(scan.order.size());
+  accums.reserve(scan.order.size());
+  evals.reserve(scan.order.size());
+  for (std::size_t t = 0; t < scan.order.size(); ++t) {
+    const ScanPartition& part = scan.part(t);
+    const std::size_t g = scan.ordinal(t);
+    scan.KeyOf(t, live_key);
+    GroupAccum accum;
+    accum.members = std::move(members[t]);
+    accum.life_per_dim.assign(n, Lifespan::AlwaysSpan());
+    accum.prob_per_dim.assign(n, 1.0);
+    for (std::size_t j = 0; j < nl; ++j) {
+      key[scan.live[j]] = live_key[j];
+      accum.life_per_dim[scan.live[j]] = part.life_per_dim[g * nl + j];
+      accum.prob_per_dim[scan.live[j]] = part.prob_per_dim[g * nl + j];
     }
-    keys.reserve(groups.size());
-    accums.reserve(groups.size());
-    evals.reserve(groups.size());
-    for (auto& [key, group] : groups) {
-      MDDC_ASSIGN_OR_RETURN(GroupEval eval, EvaluateGroup(mo, spec, group));
-      keys.push_back(key);
-      evals.push_back(eval);
-      accums.push_back(std::move(group));
-    }
-  } else {
-    if (engine == GroupEngine::kDenseSlots) {
-      ++exec->stats.dense_groupby_runs;
-    } else {
-      ++exec->stats.flat_hash_runs;
-    }
-    MDDC_RETURN_NOT_OK(RunGroupByKernel(mo, spec, engine, space, coords,
-                                        fact_entries_ptr, parallel, exec, keys,
-                                        accums, evals));
+    keys.push_back(key);
+    accums.push_back(std::move(accum));
+    evals.push_back(GroupEval{values[t], part.result_life[g]});
   }
 
   // 4-6. Assemble the result (and, under spec.capture, record the raw
@@ -1539,6 +1628,7 @@ Result<MdObject> AggregateFormation(const MdObject& mo,
   return AssembleAggregateResult(mo, spec, summarizability, keys, accums,
                                  evals);
 }
+
 
 Result<MdObject> FoldAggregateAppend(const MdObject& mo,
                                      const AggregateSpec& spec,
@@ -1671,27 +1761,17 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
   }
 
   // Rollup snapshots for the delta coordinate scan, exactly as the
-  // formation's step 0 (the snapshots themselves patch incrementally on
-  // appends — see RollupIndex::For).
-  std::vector<std::shared_ptr<const RollupIndex>> indexes;
-  if (exec != nullptr) {
-    indexes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
+  // formation's scan takes them (the snapshots themselves patch
+  // incrementally on appends — see RollupIndex::For).
+  std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (spec.grouping[i] == mo.dimension(i).type().top()) continue;
+    indexes[i] = RollupIndex::FlatFor(mo.dimension(i), exec);
   }
 
-  // Delta accumulation: the AccumulateFact cross product, resumed on the
-  // seeded accumulators. The delta is small by construction, so the scan
-  // stays sequential.
+  // Delta accumulation: each delta fact's coordinate cross product,
+  // folded into the seeded accumulators. The delta is small by
+  // construction, so the scan stays sequential.
   Arena* arena = exec != nullptr ? &exec->arena : nullptr;
   for (FactId fact : delta_facts) {
     std::optional<CoordLists> coords =
@@ -1838,56 +1918,8 @@ Result<MdObject> FoldAggregateAppend(const MdObject& mo,
                                  evals);
 }
 
+
 // ---- Streaming multi-aggregate group-by ------------------------------------
-
-namespace {
-
-/// Per-worker state of a stream run — KernelPartition minus the rendered
-/// state (member lists, lifespans, probabilities) the fused MDQL path
-/// never displays, plus per-class accumulator strides so every function
-/// folds in the one scan.
-struct StreamPartition {
-  explicit StreamPartition(Arena* a)
-      : group_of_slot(ArenaAllocator<std::uint32_t>(a)),
-        slot_of_group(ArenaAllocator<std::uint64_t>(a)),
-        key_storage(ArenaAllocator<ValueId>(a)),
-        members(ArenaAllocator<std::size_t>(a)),
-        accums(ArenaAllocator<AggFunction::Accumulator>(a)),
-        failed(ArenaAllocator<unsigned char>(a)),
-        inc_group(ArenaAllocator<std::uint32_t>(a)),
-        inc_fact(ArenaAllocator<FactId>(a)) {}
-
-  std::uint64_t slot_begin = 0;
-  std::uint64_t slot_end = 0;
-  ArenaVec<std::uint32_t> group_of_slot;
-  ArenaVec<std::uint64_t> slot_of_group;
-  FlatHashGroupIndex index;
-  ArenaVec<ValueId> key_storage;              // stride = live dim count
-  ArenaVec<std::size_t> members;              // one per group
-  ArenaVec<AggFunction::Accumulator> accums;  // stride = class count
-  ArenaVec<unsigned char> failed;             // stride = class count
-  std::vector<Status> errors;                 // stride = class count
-  /// Membership incidences in scan order (ascending fact within each
-  /// group, since the scan walks facts ascending); recorded only under
-  /// StreamSpec::collect_members and scattered into per-group lists at
-  /// emission.
-  ArenaVec<std::uint32_t> inc_group;
-  ArenaVec<FactId> inc_fact;
-};
-
-/// Functions sharing an argument dimension and pair-vs-value reading
-/// share one contribution pass, one accumulator per group and one sticky
-/// error — the Accumulator keeps count/sum/min/max regardless of which
-/// Finish will read it, so the shared state is exactly what running each
-/// function alone would have built.
-struct AccumClass {
-  std::size_t dim = 0;
-  bool counts = false;     // COUNT reads pairs; SUM/AVG/MIN/MAX read values
-  std::size_t exemplar = 0;  // index into StreamSpec::functions
-  bool bad_dim = false;      // dim >= dimension_count: error only if groups
-};
-
-}  // namespace
 
 StreamProbe AggregateStreamProbe(const MdObject& mo,
                                  const std::vector<CategoryTypeIndex>& grouping,
@@ -1914,13 +1946,10 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
       return probe;
     }
     hold.push_back(std::move(index));
-    dims.push_back({hold.back().get(), grouping[i], ValueId{}});
+    dims.push_back({hold.back().get(), grouping[i]});
   }
-  const std::uint64_t max_slots = exec != nullptr
-                                      ? exec->max_dense_groupby_slots
-                                      : (std::uint64_t{1} << 22);
   DenseSlotSpace space;
-  switch (DenseSlotSpace::Build(dims, max_slots, &space)) {
+  switch (DenseSlotSpace::Build(dims, MaxDenseSlots(exec), &space)) {
     case DenseSlotSpace::Plan::kDense:
       probe.dense = true;
       probe.slot_product = space.slot_count();
@@ -1943,510 +1972,71 @@ StreamProbe AggregateStreamProbe(const MdObject& mo,
   return probe;
 }
 
+
+
 Result<std::vector<StreamGroup>> AggregateStream(const MdObject& mo,
                                                  const StreamSpec& spec,
                                                  ExecContext* exec) {
-  const std::size_t n = mo.dimension_count();
-  if (spec.grouping.size() != n) {
-    return Status::InvalidArgument(
-        StrCat("aggregate stream got ", spec.grouping.size(),
-               " grouping categories for a ", n, "-dimensional MO"));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (spec.grouping[i] >= mo.dimension(i).type().category_count()) {
-      return Status::InvalidArgument(
-          StrCat("grouping category ", spec.grouping[i],
-                 " out of range for dimension '", mo.dimension(i).name(),
-                 "'"));
-    }
-  }
-  const std::vector<FactId>& facts = mo.facts();  // sorted by id
+  MDDC_RETURN_NOT_OK(ValidateGrouping(mo, spec.grouping, "aggregate stream"));
+  const std::vector<FactId>& facts = mo.facts();
   if (spec.keep != nullptr && spec.keep->size() != facts.size()) {
     return Status::InvalidArgument(
         StrCat("aggregate stream keep mask covers ", spec.keep->size(),
                " facts of ", facts.size()));
   }
 
-  // Dead-dimension pruning: a top-grouped dimension contributes one fixed
-  // coordinate with probability 1 to every fact, so the scan drops it and
-  // keys carry only the live axes.
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (spec.grouping[i] != mo.dimension(i).type().top()) live.push_back(i);
-  }
-  const std::size_t nl = live.size();
-
-  std::size_t kept = facts.size();
-  if (spec.keep != nullptr) {
-    kept = static_cast<std::size_t>(
-        std::count(spec.keep->begin(), spec.keep->end(), true));
-  }
-
-  // Everything arena-backed below is scratch of this one stream; the
-  // guard rewinds the context's arenas on every exit path (the returned
-  // groups are plain heap state).
+  // Everything arena-backed in the scan is scratch of this one stream;
+  // the guard rewinds the context's arenas on every exit path (the
+  // returned groups are plain heap state).
   ArenaResetGuard arena_guard{exec};
 
-  bool parallel = exec != nullptr && spec.allow_parallel &&
-                  exec->WantsParallel(kept);
-  if (parallel) {
-    // Same safety gate as AggregateFormation, applied to every fused
-    // function: per-worker partial groups are combinable exactly when the
-    // Section 3.4 preconditions hold.
+  // Same safety gate as AggregateFormation, applied to every fused
+  // function.
+  auto summarizable = [&] {
     for (const AggFunction& fn : spec.functions) {
       if (!CheckSummarizability(mo, fn.kind(), spec.grouping).summarizable) {
-        ++exec->stats.sequential_fallbacks;
-        parallel = false;
-        break;
+        return false;
       }
     }
-  }
-
-  // Compiled rollup snapshots for the live dimensions (exec-gated exactly
-  // like AggregateFormation's step 0).
-  std::vector<std::shared_ptr<const RollupIndex>> indexes(n);
-  if (exec != nullptr) {
-    for (std::size_t i : live) {
-      std::shared_ptr<const RollupIndex> index =
-          RollupIndex::For(mo.dimension(i), &exec->stats);
-      if (index->has_flat_table()) {
-        indexes[i] = std::move(index);
-        ++exec->stats.index_hits;
-      } else {
-        ++exec->stats.index_fallbacks;
-      }
-    }
-  }
-
-  // The accumulator classes behind spec.functions.
-  std::vector<AccumClass> classes;
-  std::vector<std::size_t> class_of(spec.functions.size(),
-                                    std::numeric_limits<std::size_t>::max());
-  for (std::size_t k = 0; k < spec.functions.size(); ++k) {
-    const AggFunction& fn = spec.functions[k];
-    if (fn.args().empty()) continue;  // SetCount folds from member counts
-    const std::size_t dim = fn.args().front();
-    const bool counts = fn.kind() == AggregateFunctionKind::kCount;
-    std::size_t c = 0;
-    for (; c < classes.size(); ++c) {
-      if (classes[c].dim == dim && classes[c].counts == counts) break;
-    }
-    if (c == classes.size()) {
-      classes.push_back(AccumClass{dim, counts, k, dim >= n});
-    }
-    class_of[k] = c;
-  }
-  const std::size_t nclasses = classes.size();
-
-  // Per-fact entry lists for the live indexed dimensions and the classes'
-  // argument dimensions.
-  FactEntryLists fact_entries;
-  const FactEntryLists* fact_entries_ptr = nullptr;
-  if (exec != nullptr) {
-    std::vector<bool> wanted(n, false);
-    for (std::size_t i : live) {
-      if (indexes[i] != nullptr) wanted[i] = true;
-    }
-    for (const AccumClass& cls : classes) {
-      if (!cls.bad_dim) wanted[cls.dim] = true;
-    }
-    fact_entries = BuildFactEntryLists(mo, wanted);
-    fact_entries_ptr = &fact_entries;
-  }
-
-  // 1. Live coordinates per kept fact, in fact order. A fact with an
-  //    empty live list joins no group (exactly GroupingCoordinates'
-  //    nullopt), and a false keep entry is skipped outright — selection
-  //    pushdown without the materialized Select.
-  std::vector<std::optional<CoordLists>> coords(facts.size());
-  auto live_coords = [&](std::size_t f,
-                         Arena* arena) -> std::optional<CoordLists> {
-    CoordLists per_dim{ArenaAllocator<CoordList>(arena)};
-    per_dim.reserve(nl);
-    for (std::size_t j = 0; j < nl; ++j) {
-      per_dim.emplace_back(ArenaAllocator<Coordinate>(arena));
-    }
-    for (std::size_t j = 0; j < nl; ++j) {
-      const std::size_t i = live[j];
-      const RollupIndex* index = indexes[i].get();
-      const FactDimRelation::EntrySpan* span =
-          (index != nullptr && fact_entries_ptr != nullptr)
-              ? &(*fact_entries_ptr)[i][f]
-              : nullptr;
-      AppendDimCoordinates(mo, i, spec.grouping[i], spec.prob_at, index,
-                           facts[f], span, per_dim[j]);
-      if (per_dim[j].empty()) return std::nullopt;
-    }
-    return per_dim;
+    return true;
   };
-  if (parallel) {
-    for (std::size_t i : live) mo.dimension(i).WarmClosureMemo();
-    const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-    exec->EnsureWorkerArenas(chunks);
-    exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t begin = chunk * facts.size() / chunks;
-      const std::size_t end = (chunk + 1) * facts.size() / chunks;
-      Arena* arena = &exec->worker_arena(chunk);
-      for (std::size_t f = begin; f < end; ++f) {
-        if (spec.keep == nullptr || (*spec.keep)[f]) {
-          coords[f] = live_coords(f, arena);
-        }
-      }
-    });
-    exec->stats.tasks += chunks;
-  } else {
-    Arena* arena = exec != nullptr ? &exec->arena : nullptr;
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (spec.keep == nullptr || (*spec.keep)[f]) {
-        coords[f] = live_coords(f, arena);
-      }
-    }
-  }
+  const ScanResult scan = RunGroupScan(
+      mo,
+      ScanRequest{.grouping = spec.grouping,
+                  .prob_at = spec.prob_at,
+                  .functions = spec.functions,
+                  .keep = spec.keep,
+                  .collect_members = spec.collect_members,
+                  .summarizable = summarizable},
+      exec);
 
-  // 2. Per-class fact contributions, sharing ContributionOf (and its
-  //    sequential numeric-value hoist) with the kernel path.
-  std::vector<std::vector<FactContribution>> contribs(nclasses);
-  std::vector<NumericValueCache> caches(nclasses);
-  for (std::size_t c = 0; c < nclasses; ++c) {
-    const AccumClass& cls = classes[c];
-    if (cls.bad_dim) continue;
-    const AggregateSpec cspec{spec.functions[cls.exemplar],
-                              spec.grouping,
-                              ResultDimensionSpec::Auto(),
-                              spec.prob_at,
-                              false,
-                              false};
-    const NumericValueCache* cache_ptr = nullptr;
-    if (!cls.counts) {
-      const Dimension& dimension = mo.dimension(cls.dim);
-      NumericValueCache& cache = caches[c];
-      for (const FactDimRelation::Entry& entry :
-           mo.relation(cls.dim).entries()) {
-        if (entry.value == dimension.top_value()) continue;
-        const std::uint64_t raw = entry.value.raw();
-        if (cache.find(raw) != cache.end()) continue;
-        cache.emplace(raw,
-                      dimension.NumericValueOf(entry.value, spec.prob_at));
-      }
-      cache_ptr = &cache;
-    }
-    contribs[c].resize(facts.size());
-    auto fill_chunk = [&](std::size_t begin, std::size_t end, Arena* arena) {
-      for (std::size_t f = begin; f < end; ++f) {
-        if (coords[f].has_value()) {
-          contribs[c][f] = ContributionOf(mo, cspec, facts[f],
-                                          fact_entries_ptr, f, cache_ptr,
-                                          arena);
-        }
-      }
-    };
-    if (parallel) {
-      const std::size_t chunks = std::min(facts.size(), exec->num_threads * 4);
-      exec->EnsureWorkerArenas(chunks);
-      exec->pool().ParallelFor(chunks, [&](std::size_t chunk) {
-        fill_chunk(chunk * facts.size() / chunks,
-                   (chunk + 1) * facts.size() / chunks,
-                   &exec->worker_arena(chunk));
-      });
-      exec->stats.tasks += chunks;
-    } else {
-      fill_chunk(0, facts.size(), exec != nullptr ? &exec->arena : nullptr);
-    }
-  }
-
-  // 3. Engine selection over the live axes only (dead dimensions never
-  //    widen the slot product).
-  GroupEngine engine = GroupEngine::kFlatHash;
-  DenseSlotSpace space;
-  {
-    bool all_indexed = true;
-    std::vector<DenseSlotSpace::GroupingDim> grouping_dims(nl);
-    for (std::size_t j = 0; j < nl; ++j) {
-      const std::size_t i = live[j];
-      if (indexes[i] != nullptr) {
-        grouping_dims[j] = {indexes[i].get(), spec.grouping[i], ValueId{}};
-      } else {
-        all_indexed = false;
-        break;
-      }
-    }
-    if (all_indexed) {
-      const std::uint64_t max_slots = exec != nullptr
-                                          ? exec->max_dense_groupby_slots
-                                          : (std::uint64_t{1} << 22);
-      switch (DenseSlotSpace::Build(grouping_dims, max_slots, &space)) {
-        case DenseSlotSpace::Plan::kDense:
-          engine = GroupEngine::kDenseSlots;
-          break;
-        case DenseSlotSpace::Plan::kTooManySlots:
-          if (exec != nullptr) ++exec->stats.dense_slot_fallbacks;
-          break;
-        case DenseSlotSpace::Plan::kNotIndexed:
-          break;
-      }
-    }
-  }
-  if (exec != nullptr) {
-    if (engine == GroupEngine::kDenseSlots) {
-      ++exec->stats.dense_groupby_runs;
-    } else {
-      ++exec->stats.flat_hash_runs;
-    }
-  }
-
-  // 4. The partitioned scan: contiguous dense-slot ranges or keys by
-  //    hash, every worker scans all facts, every group built whole by one
-  //    worker — exactly RunGroupByKernel's ownership scheme.
-  const std::size_t num_partitions = parallel ? exec->num_threads : 1;
-  if (parallel) exec->EnsureWorkerArenas(num_partitions);
-  std::vector<StreamPartition> parts;
-  parts.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    parts.emplace_back(parallel ? &exec->worker_arena(p)
-                       : exec != nullptr ? &exec->arena
-                                         : nullptr);
-  }
-  if (engine == GroupEngine::kDenseSlots) {
-    const std::uint64_t slots = space.slot_count();
-    const std::uint64_t base = slots / num_partitions;
-    const std::uint64_t extra = slots % num_partitions;
-    std::uint64_t begin = 0;
-    for (std::size_t p = 0; p < num_partitions; ++p) {
-      const std::uint64_t width = base + (p < extra ? 1 : 0);
-      parts[p].slot_begin = begin;
-      parts[p].slot_end = begin + width;
-      begin += width;
-      parts[p].group_of_slot.assign(static_cast<std::size_t>(width),
-                                    FlatHashGroupIndex::kNoGroup);
-    }
-  }
-
-  auto scan_partition = [&](std::size_t p) {
-    StreamPartition& part = parts[p];
-    std::vector<std::size_t> cursor(nl);
-    std::vector<ValueId> scratch(nl);
-    for (std::size_t f = 0; f < facts.size(); ++f) {
-      if (!coords[f].has_value()) continue;
-      const CoordLists& per_dim = *coords[f];
-      std::fill(cursor.begin(), cursor.end(), 0);
-      // Enumerate the cross product of the fact's live coordinate lists
-      // (one iteration — the single global group — when nl == 0).
-      while (true) {
-        std::uint32_t g = FlatHashGroupIndex::kNoGroup;
-        if (engine == GroupEngine::kDenseSlots) {
-          // Row-major slot over the live axes, lowest dimension index
-          // most significant — ascending slots are the canonical order.
-          std::uint64_t slot = 0;
-          for (std::size_t j = 0; j < nl; ++j) {
-            slot = slot * space.cardinality(j) +
-                   space.OrdinalOf(j, per_dim[j][cursor[j]].dense);
-          }
-          if (slot >= part.slot_begin && slot < part.slot_end) {
-            std::uint32_t& mapped = part.group_of_slot[
-                static_cast<std::size_t>(slot - part.slot_begin)];
-            if (mapped == FlatHashGroupIndex::kNoGroup) {
-              mapped = static_cast<std::uint32_t>(part.members.size());
-              part.slot_of_group.push_back(slot);
-              part.members.push_back(0);
-              part.accums.insert(part.accums.end(), nclasses,
-                                 AggFunction::Accumulator{});
-              part.failed.insert(part.failed.end(), nclasses, 0);
-              part.errors.resize(part.errors.size() + nclasses);
-            }
-            g = mapped;
-          }
-        } else {
-          for (std::size_t j = 0; j < nl; ++j) {
-            scratch[j] = per_dim[j][cursor[j]].value;
-          }
-          const std::uint64_t hash = HashValueIds(scratch.data(), nl);
-          if (num_partitions == 1 || hash % num_partitions == p) {
-            bool inserted = false;
-            g = part.index.FindOrInsert(
-                hash, static_cast<std::uint32_t>(part.members.size()),
-                [&](std::uint32_t ordinal) {
-                  return std::equal(scratch.begin(), scratch.end(),
-                                    part.key_storage.begin() +
-                                        static_cast<std::ptrdiff_t>(
-                                            ordinal * nl));
-                },
-                &inserted);
-            if (inserted) {
-              part.key_storage.insert(part.key_storage.end(),
-                                      scratch.begin(), scratch.end());
-              part.members.push_back(0);
-              part.accums.insert(part.accums.end(), nclasses,
-                                 AggFunction::Accumulator{});
-              part.failed.insert(part.failed.end(), nclasses, 0);
-              part.errors.resize(part.errors.size() + nclasses);
-            }
-          }
-        }
-        if (g != FlatHashGroupIndex::kNoGroup) {
-          ++part.members[g];
-          if (spec.collect_members) {
-            part.inc_group.push_back(g);
-            part.inc_fact.push_back(facts[f]);
-          }
-          const std::size_t base = static_cast<std::size_t>(g) * nclasses;
-          for (std::size_t c = 0; c < nclasses; ++c) {
-            if (classes[c].bad_dim) continue;
-            const FactContribution& fc = contribs[c][f];
-            if (fc.failed) {
-              if (!part.failed[base + c]) {
-                part.failed[base + c] = 1;
-                part.errors[base + c] = fc.error;
-              }
-            } else if (!part.failed[base + c]) {
-              if (classes[c].counts) {
-                part.accums[base + c].AddCounted(fc.counted);
-              } else {
-                for (double value : fc.values) {
-                  part.accums[base + c].Add(value);
-                }
-              }
-            }
-          }
-        }
-        // Advance the cross-product cursor.
-        std::size_t j = 0;
-        while (j < nl && ++cursor[j] == per_dim[j].size()) {
-          cursor[j] = 0;
-          ++j;
-        }
-        if (j == nl) break;
-      }
-    }
-  };
-  if (parallel) {
-    exec->pool().ParallelFor(num_partitions, scan_partition);
-    exec->stats.tasks += num_partitions;
-    exec->stats.partitions += num_partitions;
-    ++exec->stats.parallel_runs;
-  } else {
-    scan_partition(0);
-  }
-
-  // 5. Canonical group order: ascending slot for the dense engine (the
-  //    partitions own ascending disjoint ranges), one lexicographic key
-  //    sort for the flat-hash engine.
-  struct GroupRef {
-    std::uint32_t partition;
-    std::uint32_t ordinal;
-  };
-  std::size_t total = 0;
-  for (const StreamPartition& part : parts) total += part.members.size();
-  std::vector<GroupRef> order;
-  order.reserve(total);
-  const auto merge_start = std::chrono::steady_clock::now();
-  if (engine == GroupEngine::kDenseSlots) {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      StreamPartition& part = parts[p];
-      std::vector<std::uint32_t> by_slot(part.members.size());
-      for (std::uint32_t g = 0; g < by_slot.size(); ++g) by_slot[g] = g;
-      std::sort(by_slot.begin(), by_slot.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return part.slot_of_group[a] < part.slot_of_group[b];
-                });
-      for (std::uint32_t g : by_slot) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
-  } else {
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      for (std::uint32_t g = 0; g < parts[p].members.size(); ++g) {
-        order.push_back({static_cast<std::uint32_t>(p), g});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [&](const GroupRef& a, const GroupRef& b) {
-                const ValueId* ka =
-                    parts[a.partition].key_storage.data() + a.ordinal * nl;
-                const ValueId* kb =
-                    parts[b.partition].key_storage.data() + b.ordinal * nl;
-                return std::lexicographical_compare(ka, ka + nl, kb, kb + nl);
-              });
-  }
-  if (parallel) {
-    exec->stats.merge_nanos += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - merge_start)
-            .count());
-  }
-
-  // 6. Emission, function-major: function k's errors (CheckApplicable,
-  //    then each group's sticky class error or Finish failure, in
-  //    canonical group order) surface before function k+1 computes
-  //    anything — exactly the order running the functions one
-  //    AggregateFormation at a time produces.
-  std::vector<StreamGroup> out(order.size());
-  std::vector<ValueId> key(nl);
-  for (std::size_t t = 0; t < order.size(); ++t) {
-    const GroupRef& ref = order[t];
-    const StreamPartition& part = parts[ref.partition];
+  std::vector<StreamGroup> out(scan.order.size());
+  for (std::size_t t = 0; t < scan.order.size(); ++t) {
     StreamGroup& group = out[t];
-    if (engine == GroupEngine::kDenseSlots) {
-      space.KeyOf(part.slot_of_group[ref.ordinal], key);
-      group.key = key;
-    } else {
-      const ValueId* base = part.key_storage.data() + ref.ordinal * nl;
-      group.key.assign(base, base + nl);
-    }
-    group.members = part.members[ref.ordinal];
+    scan.KeyOf(t, group.key);
+    group.members = scan.part(t).members[scan.ordinal(t)];
     group.values.reserve(spec.functions.size());
   }
   if (spec.collect_members) {
-    // Scatter the scan-order incidence log into per-group lists. Each
-    // worker walked facts ascending, so within a group the log is already
-    // in ascending fact order.
-    std::vector<std::vector<std::uint32_t>> out_of(parts.size());
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      out_of[p].resize(parts[p].members.size());
-    }
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      out_of[order[t].partition][order[t].ordinal] =
-          static_cast<std::uint32_t>(t);
-      out[t].member_facts.reserve(out[t].members);
-    }
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-      const StreamPartition& part = parts[p];
-      for (std::size_t e = 0; e < part.inc_group.size(); ++e) {
-        out[out_of[p][part.inc_group[e]]].member_facts.push_back(
-            part.inc_fact[e]);
-      }
+    std::vector<std::vector<FactId>> members = scan.MemberLists();
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      out[t].member_facts = std::move(members[t]);
     }
   }
+  // Emission, function-major: function k's errors (CheckApplicable, then
+  // its group errors in canonical order) surface before function k+1
+  // computes anything — exactly the order running the functions one
+  // AggregateFormation at a time produces.
+  const std::size_t n = mo.dimension_count();
   for (std::size_t k = 0; k < spec.functions.size(); ++k) {
     const AggFunction& fn = spec.functions[k];
     if (spec.enforce_aggregation_types) {
       MDDC_RETURN_NOT_OK(fn.CheckApplicable(mo));
     }
-    if (fn.args().empty()) {
-      for (StreamGroup& group : out) {
-        group.values.push_back(static_cast<double>(group.members));
-      }
-      continue;
-    }
-    if (fn.args().front() >= n) {
-      // Every group's evaluation would fail identically; surface it
-      // exactly as AggregateFormation does for its first group (and stay
-      // silent when there are no groups, as it does).
-      if (!out.empty()) {
-        return Status::InvalidArgument(
-            StrCat(fn.name(), " references dimension ", fn.args().front(),
-                   " of a ", n, "-dimensional MO"));
-      }
-      continue;
-    }
-    const std::size_t c = class_of[k];
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      const GroupRef& ref = order[t];
-      const StreamPartition& part = parts[ref.partition];
-      const std::size_t base =
-          static_cast<std::size_t>(ref.ordinal) * nclasses + c;
-      if (part.failed[base]) return part.errors[base];
-      MDDC_ASSIGN_OR_RETURN(double value, fn.Finish(part.accums[base]));
-      out[t].values.push_back(value);
+    MDDC_ASSIGN_OR_RETURN(std::vector<double> values,
+                          SettleFunction(scan, k, fn, n, false));
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      out[t].values.push_back(values[t]);
     }
   }
   return out;

@@ -195,12 +195,15 @@ struct AggregateSpec {
 /// summarizability rule of Section 4.1 (min of argument types when
 /// distributive + strict + partitioning, else c).
 ///
-/// Any ExecContext switches grouping onto a flat kernel
-/// (docs/groupby_kernel.md): dense row-major slots over the compiled
-/// rollup index when every grouping dimension is covered and the slot
-/// cross-product fits exec->max_dense_groupby_slots, an open-addressing
-/// flat-hash kernel otherwise; without a context the ordered-map
-/// baseline runs unchanged. With num_threads > 1 and a fact set of at
+/// Grouping runs on the one group-by kernel it shares with
+/// AggregateStream (docs/groupby_kernel.md): dense row-major slots over
+/// the compiled rollup index when every non-top grouping dimension is
+/// covered and the slot cross-product fits the context's
+/// max_dense_groupby_slots, an open-addressing flat-hash kernel
+/// otherwise. Without a context the same kernel runs with no counters,
+/// no arenas, no parallelism and no rollup snapshots (so always on flat
+/// hash over the memoized traversal, unless every dimension is grouped
+/// at top). With num_threads > 1 and a fact set of at
 /// least min_parallel_facts the kernel additionally fans out: each
 /// worker scans all facts and owns a disjoint slice of the group space
 /// (contiguous slot ranges, or keys by hash), so every group is built
@@ -266,8 +269,6 @@ struct StreamSpec {
   /// skipped by the scan — selection pushdown without materializing the
   /// filtered MO. Null means every fact participates.
   const std::vector<bool>* keep = nullptr;
-  /// When false the scan stays sequential even on a parallel context.
-  bool allow_parallel = true;
   /// When true every StreamGroup carries its member fact list (ascending
   /// fact order). AggregateFormation interns each group as a set-fact, so
   /// two groups with identical member sets collapse into ONE result fact;
@@ -277,8 +278,8 @@ struct StreamSpec {
 };
 
 /// One output group of AggregateStream, in canonical order (ascending
-/// lexicographic ValueId key — the same order AggregateFormation's
-/// ordered-map baseline emits groups in).
+/// lexicographic ValueId key — the order AggregateFormation emits its
+/// groups in).
 struct StreamGroup {
   /// The grouping values of the live (non-top) dimensions, in ascending
   /// dimension-index order.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <memory>
 
 namespace mddc {
@@ -129,61 +128,22 @@ void ShutdownSharedThreadPool() {
 }
 
 void ExecStats::MergeFrom(const ExecStats& other) {
-  parallel_runs += other.parallel_runs;
-  sequential_fallbacks += other.sequential_fallbacks;
-  partitions += other.partitions;
-  tasks += other.tasks;
-  merge_nanos += other.merge_nanos;
-  pool_reuses += other.pool_reuses;
-  join_parallel_runs += other.join_parallel_runs;
-  timeslice_parallel_runs += other.timeslice_parallel_runs;
-  index_builds += other.index_builds;
-  index_hits += other.index_hits;
-  index_fallbacks += other.index_fallbacks;
-  dense_groupby_runs += other.dense_groupby_runs;
-  flat_hash_runs += other.flat_hash_runs;
-  dense_slot_fallbacks += other.dense_slot_fallbacks;
-  arena_bytes += other.arena_bytes;
-  arena_resets += other.arena_resets;
-  interner_hits += other.interner_hits;
-  interner_misses += other.interner_misses;
-  rewrites_applied += other.rewrites_applied;
-  fused_pipelines += other.fused_pipelines;
-  plan_fallbacks += other.plan_fallbacks;
-  plan_cache_hits += other.plan_cache_hits;
-  aggregate_folds += other.aggregate_folds;
-  rollup_patches += other.rollup_patches;
-  csr_tail_extends += other.csr_tail_extends;
-  preagg_folds += other.preagg_folds;
-  preagg_fold_invalidations += other.preagg_fold_invalidations;
+#define MDDC_EXEC_STATS_MERGE(type, name) name += other.name;
+  MDDC_EXEC_STATS_COUNTERS(MDDC_EXEC_STATS_MERGE)
+#undef MDDC_EXEC_STATS_MERGE
 }
 
 std::string ExecStats::ToJson() const {
-  char buffer[1792];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"parallel_runs\": %zu, \"sequential_fallbacks\": %zu, "
-      "\"partitions\": %zu, \"tasks\": %zu, \"merge_nanos\": %llu, "
-      "\"pool_reuses\": %zu, \"join_parallel_runs\": %zu, "
-      "\"timeslice_parallel_runs\": %zu, \"index_builds\": %zu, "
-      "\"index_hits\": %zu, \"index_fallbacks\": %zu, "
-      "\"dense_groupby_runs\": %zu, \"flat_hash_runs\": %zu, "
-      "\"dense_slot_fallbacks\": %zu, \"arena_bytes\": %zu, "
-      "\"arena_resets\": %zu, \"interner_hits\": %zu, "
-      "\"interner_misses\": %zu, \"rewrites_applied\": %zu, "
-      "\"fused_pipelines\": %zu, \"plan_fallbacks\": %zu, "
-      "\"plan_cache_hits\": %zu, \"aggregate_folds\": %zu, "
-      "\"rollup_patches\": %zu, \"csr_tail_extends\": %zu, "
-      "\"preagg_folds\": %zu, \"preagg_fold_invalidations\": %zu}",
-      parallel_runs, sequential_fallbacks, partitions, tasks,
-      static_cast<unsigned long long>(merge_nanos), pool_reuses,
-      join_parallel_runs, timeslice_parallel_runs, index_builds, index_hits,
-      index_fallbacks, dense_groupby_runs, flat_hash_runs,
-      dense_slot_fallbacks, arena_bytes, arena_resets, interner_hits,
-      interner_misses, rewrites_applied, fused_pipelines, plan_fallbacks,
-      plan_cache_hits, aggregate_folds, rollup_patches, csr_tail_extends,
-      preagg_folds, preagg_fold_invalidations);
-  return buffer;
+  std::string json = "{";
+  const char* separator = "";
+#define MDDC_EXEC_STATS_JSON(type, name)             \
+  json += separator;                                 \
+  json += "\"" #name "\": " + std::to_string(name); \
+  separator = ", ";
+  MDDC_EXEC_STATS_COUNTERS(MDDC_EXEC_STATS_JSON)
+#undef MDDC_EXEC_STATS_JSON
+  json += "}";
+  return json;
 }
 
 ThreadPool& ExecContext::pool() {

@@ -89,107 +89,116 @@ ThreadPool& SharedThreadPool(std::size_t min_threads, bool* created = nullptr);
 /// fresh pool while the old one finishes draining.
 void ShutdownSharedThreadPool();
 
+/// The ExecStats counter table: X(type, name) per counter, in the order
+/// ToJson emits them. The struct fields, MergeFrom and ToJson are all
+/// generated from it, so a new counter is one entry here.
+#define MDDC_EXEC_STATS_COUNTERS(X)                                          \
+  /* Operations that ran the parallel partition/merge path. */               \
+  X(std::size_t, parallel_runs)                                              \
+  /* Operations that wanted to parallelize but ran sequentially anyway:      \
+     aggregate formation blocked by the summarizability gate (Section        \
+     3.4 preconditions not met), or a Join/Timeslice whose input was         \
+     below min_parallel_facts. */                                            \
+  X(std::size_t, sequential_fallbacks)                                       \
+  /* Hash partitions created, summed over parallel operations. */            \
+  X(std::size_t, partitions)                                                 \
+  /* Tasks submitted to the pool, summed over parallel operations. */        \
+  X(std::size_t, tasks)                                                      \
+  /* Time spent folding per-partition results into the final, ordered        \
+     result, summed over parallel operations. */                             \
+  X(std::uint64_t, merge_nanos)                                              \
+  /* Times this context attached to an already-running shared pool           \
+     instead of spawning workers (0 or 1 per context; > 0 summed across      \
+     the contexts of repeated queries means thread startup was paid          \
+     only once process-wide). */                                             \
+  X(std::size_t, pool_reuses)                                                \
+  /* Identity-based joins that ran the parallel pair-partition path. */      \
+  X(std::size_t, join_parallel_runs)                                         \
+  /* Timeslices that ran the parallel per-fact path. */                      \
+  X(std::size_t, timeslice_parallel_runs)                                    \
+  /* Compiled rollup snapshots built by RollupIndex::For — the slot was      \
+     empty or the dimension had been mutated since the last compile (a       \
+     stale snapshot is never consulted). Reuse shows as hits without         \
+     builds. */                                                              \
+  X(std::size_t, index_builds)                                               \
+  /* Times a hot path consumed a compiled snapshot instead of map-based      \
+     traversal, counted once per operation and dimension: a grouping         \
+     dimension of a group-by scan resolved through the flat rollup           \
+     table, a dimension sliced through the dense arrays, a                   \
+     PreAggregateCache rollup answered by flat lookups, or a Join            \
+     operand dimension whose snapshot was compiled/attached at warm-up. */   \
+  X(std::size_t, index_hits)                                                 \
+  /* Times a hot path wanted the flat rollup table but the snapshot's        \
+     strictness/non-temporal gate failed, falling back to the memoized       \
+     traversal (results are bit-identical either way). */                    \
+  X(std::size_t, index_fallbacks)                                            \
+  /* Group-by scans (aggregate formations and streams) answered by the       \
+     dense-slot engine: every non-top grouping dimension was covered by      \
+     a flat rollup table and the slot cross-product fit within               \
+     ExecContext::max_dense_groupby_slots. */                                \
+  X(std::size_t, dense_groupby_runs)                                         \
+  /* Group-bys answered by the open-addressing flat-hash engine: a           \
+     group-by scan whose slot space was too large or not fully indexed,      \
+     a relational group-by, or a pre-aggregate rollup merge. */              \
+  X(std::size_t, flat_hash_runs)                                             \
+  /* Group-by scans that were structurally dense (all grouping               \
+     dimensions indexed) but whose slot cross-product exceeded               \
+     max_dense_groupby_slots, demoting them to the flat-hash kernel. */      \
+  X(std::size_t, dense_slot_fallbacks)                                       \
+  /* Bytes of query-lifetime scratch served by the context's bump            \
+     arenas (coordinates, match lists, slot indirections, per-group          \
+     state), summed at each reset — the per-statement footprint the          \
+     arena absorbs instead of the heap. */                                   \
+  X(std::size_t, arena_bytes)                                                \
+  /* Arena rewinds that actually reclaimed scratch (one per statement        \
+     or top-level operator that allocated); empty rewinds are not            \
+     counted. */                                                             \
+  X(std::size_t, arena_resets)                                               \
+  /* MDQL identifier resolutions answered by an interned representation      \
+     probe (the name was found without allocating). */                       \
+  X(std::size_t, interner_hits)                                              \
+  /* MDQL identifier resolutions that probed every representation and        \
+     found no interned entry for the name. */                                \
+  X(std::size_t, interner_misses)                                            \
+  /* Logical-plan rewrite rules fired by the MDQL compiler (one count        \
+     per rule application, summed over the statement's rewrite loop). */     \
+  X(std::size_t, rewrites_applied)                                           \
+  /* Statements answered by a fused physical pipeline (facts streamed        \
+     straight from the CSR spans into the group-by kernels, no               \
+     intermediate MO materialized). */                                       \
+  X(std::size_t, fused_pipelines)                                            \
+  /* Statements the compiler planned but could not cover with a fused        \
+     pipeline, falling back to the tree-walk interpreter (results are        \
+     byte-identical either way). */                                          \
+  X(std::size_t, plan_fallbacks)                                             \
+  /* Statements answered by a session's compiled-plan cache (keyed on        \
+     statement text + MO version), skipping parse-tree lowering and the      \
+     rewrite loop entirely. */                                               \
+  X(std::size_t, plan_cache_hits)                                            \
+  /* Aggregate results produced by FoldAggregateAppend — a captured          \
+     formation resumed over appended facts instead of re-scanned. */         \
+  X(std::size_t, aggregate_folds)                                            \
+  /* Compiled rollup snapshots produced by patching the previous             \
+     snapshot (dense-remap extension + CSR rebuild over the appended         \
+     values) instead of a full recompile; each also counts an                \
+     index_builds. */                                                        \
+  X(std::size_t, rollup_patches)                                             \
+  /* Sealed CSR by-fact span views revalidated by extending the span         \
+     tail over appended entries instead of a full re-sort. */                \
+  X(std::size_t, csr_tail_extends)                                           \
+  /* Warm pre-aggregate entries delta-folded across an append batch. */      \
+  X(std::size_t, preagg_folds)                                               \
+  /* Warm pre-aggregate entries that could not fold (gate drift,            \
+     non-foldable function, rollup-derived entry) and were                   \
+     re-materialized from scratch instead. */                                \
+  X(std::size_t, preagg_fold_invalidations)
+
 /// Per-query execution counters, exposed on the context so callers can
 /// observe what the parallel engine actually did.
 struct ExecStats {
-  /// Operations that ran the parallel partition/merge path.
-  std::size_t parallel_runs = 0;
-  /// Operations that wanted to parallelize but ran sequentially anyway:
-  /// aggregate formation blocked by the summarizability gate (Section
-  /// 3.4 preconditions not met), or a Join/Timeslice whose input was
-  /// below min_parallel_facts.
-  std::size_t sequential_fallbacks = 0;
-  /// Hash partitions created, summed over parallel operations.
-  std::size_t partitions = 0;
-  /// Tasks submitted to the pool, summed over parallel operations.
-  std::size_t tasks = 0;
-  /// Time spent folding per-partition results into the final, ordered
-  /// result, summed over parallel operations.
-  std::uint64_t merge_nanos = 0;
-  /// Times this context attached to an already-running shared pool
-  /// instead of spawning workers (0 or 1 per context; > 0 summed across
-  /// the contexts of repeated queries means thread startup was paid only
-  /// once process-wide).
-  std::size_t pool_reuses = 0;
-  /// Identity-based joins that ran the parallel pair-partition path.
-  std::size_t join_parallel_runs = 0;
-  /// Timeslices that ran the parallel per-fact path.
-  std::size_t timeslice_parallel_runs = 0;
-  /// Compiled rollup snapshots built by RollupIndex::For — the slot was
-  /// empty or the dimension had been mutated since the last compile (a
-  /// stale snapshot is never consulted). Reuse shows as hits without
-  /// builds.
-  std::size_t index_builds = 0;
-  /// Times a hot path consumed a compiled snapshot instead of map-based
-  /// traversal, counted once per operation and dimension: a grouping
-  /// dimension of AggregateFormation resolved through the flat rollup
-  /// table, a dimension sliced through the dense arrays, a
-  /// PreAggregateCache rollup answered by flat lookups, or a Join
-  /// operand dimension whose snapshot was compiled/attached at warm-up.
-  std::size_t index_hits = 0;
-  /// Times a hot path wanted the flat rollup table but the snapshot's
-  /// strictness/non-temporal gate failed, falling back to the memoized
-  /// traversal (results are bit-identical either way).
-  std::size_t index_fallbacks = 0;
-  /// Aggregate formations answered by the dense-slot group-by kernel:
-  /// every grouping dimension was covered by a flat rollup table (or
-  /// grouped at top) and the slot cross-product fit within
-  /// ExecContext::max_dense_groupby_slots.
-  std::size_t dense_groupby_runs = 0;
-  /// Group-bys answered by the open-addressing flat-hash kernel: an
-  /// aggregate formation whose slot space was too large or not fully
-  /// indexed, a relational group-by, or a pre-aggregate rollup merge —
-  /// whenever an execution context is supplied.
-  std::size_t flat_hash_runs = 0;
-  /// Aggregate formations that were structurally dense (all grouping
-  /// dimensions indexed) but whose slot cross-product exceeded
-  /// max_dense_groupby_slots, demoting them to the flat-hash kernel.
-  std::size_t dense_slot_fallbacks = 0;
-  /// Bytes of query-lifetime scratch served by the context's bump arenas
-  /// (coordinates, match lists, slot indirections, per-group state),
-  /// summed at each reset — the per-statement footprint the arena absorbs
-  /// instead of the heap.
-  std::size_t arena_bytes = 0;
-  /// Arena rewinds that actually reclaimed scratch (one per statement or
-  /// top-level operator that allocated); empty rewinds are not counted.
-  std::size_t arena_resets = 0;
-  /// MDQL identifier resolutions answered by an interned representation
-  /// probe (the name was found without allocating).
-  std::size_t interner_hits = 0;
-  /// MDQL identifier resolutions that probed every representation and
-  /// found no interned entry for the name.
-  std::size_t interner_misses = 0;
-  /// Logical-plan rewrite rules fired by the MDQL compiler (one count
-  /// per rule application, summed over the statement's rewrite loop).
-  std::size_t rewrites_applied = 0;
-  /// Statements answered by a fused physical pipeline (facts streamed
-  /// straight from the CSR spans into the group-by kernels, no
-  /// intermediate MO materialized).
-  std::size_t fused_pipelines = 0;
-  /// Statements the compiler planned but could not cover with a fused
-  /// pipeline, falling back to the tree-walk interpreter (results are
-  /// byte-identical either way).
-  std::size_t plan_fallbacks = 0;
-  /// Statements answered by a session's compiled-plan cache (keyed on
-  /// statement text + MO version), skipping parse-tree lowering and the
-  /// rewrite loop entirely.
-  std::size_t plan_cache_hits = 0;
-  /// Aggregate results produced by FoldAggregateAppend — a captured
-  /// formation resumed over appended facts instead of re-scanned.
-  std::size_t aggregate_folds = 0;
-  /// Compiled rollup snapshots produced by patching the previous snapshot
-  /// (dense-remap extension + CSR rebuild over the appended values)
-  /// instead of a full recompile; each also counts an index_builds.
-  std::size_t rollup_patches = 0;
-  /// Sealed CSR by-fact span views revalidated by extending the span
-  /// tail over appended entries instead of a full re-sort.
-  std::size_t csr_tail_extends = 0;
-  /// Warm pre-aggregate entries delta-folded across an append batch.
-  std::size_t preagg_folds = 0;
-  /// Warm pre-aggregate entries that could not fold (gate drift,
-  /// non-foldable function, rollup-derived entry) and were re-materialized
-  /// from scratch instead.
-  std::size_t preagg_fold_invalidations = 0;
+#define MDDC_EXEC_STATS_FIELD(type, name) type name = 0;
+  MDDC_EXEC_STATS_COUNTERS(MDDC_EXEC_STATS_FIELD)
+#undef MDDC_EXEC_STATS_FIELD
 
   /// Adds every counter of `other` into this one. Server sessions use it
   /// to accumulate per-query contexts into per-session totals.

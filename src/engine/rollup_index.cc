@@ -38,6 +38,18 @@ const std::uint32_t* RollupIndex::CategoryEnd(
   return category_values_.data() + category_begin_[category + 1];
 }
 
+std::shared_ptr<const RollupIndex> RollupIndex::FlatFor(
+    const Dimension& dimension, ExecContext* exec) {
+  if (exec == nullptr) return nullptr;
+  std::shared_ptr<const RollupIndex> index = For(dimension, &exec->stats);
+  if (!index->has_flat_table()) {
+    ++exec->stats.index_fallbacks;
+    return nullptr;
+  }
+  ++exec->stats.index_hits;
+  return index;
+}
+
 std::shared_ptr<const RollupIndex> RollupIndex::For(const Dimension& dimension,
                                                     ExecStats* stats) {
   // Publish-frozen dimensions (the MVCC serving tier, src/serve) promise

@@ -58,6 +58,14 @@ class RollupIndex {
   static std::shared_ptr<const RollupIndex> For(const Dimension& dimension,
                                                 ExecStats* stats = nullptr);
 
+  /// The snapshot a hot path may consult for flat rollups: For(dimension)
+  /// when its flat ancestor table exists — counting one index_hits — and
+  /// null when the strictness/non-temporal gate failed — counting one
+  /// index_fallbacks, so the caller takes the memoized traversal. Null
+  /// without a context: context-free runs compile no snapshots.
+  static std::shared_ptr<const RollupIndex> FlatFor(const Dimension& dimension,
+                                                    ExecContext* exec);
+
   /// The dimension version this snapshot was compiled at.
   std::uint64_t version() const { return version_; }
 

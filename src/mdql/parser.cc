@@ -10,6 +10,11 @@ namespace mddc {
 namespace mdql {
 namespace {
 
+/// Deepest parenthesized WHERE nesting a statement may use. The parser
+/// recurses once per level, so the cap keeps one request line from
+/// exhausting the stack of the thread that parses it.
+constexpr std::size_t kMaxWhereDepth = 128;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -190,8 +195,16 @@ class Parser {
   Result<std::shared_ptr<const WhereExpr>> ParseWherePrimary() {
     // Atoms never start with '(' (PROB consumes its own parentheses), so
     // a leading '(' unambiguously opens a grouped expression.
-    if (Accept(TokenKind::kLParen)) {
+    if (Peek().kind == TokenKind::kLParen) {
+      if (where_depth_ == kMaxWhereDepth) {
+        return Status::InvalidArgument(
+            StrCat("WHERE nests parentheses deeper than ", kMaxWhereDepth,
+                   " levels at offset ", Peek().offset));
+      }
+      Advance();
+      ++where_depth_;
       MDDC_ASSIGN_OR_RETURN(auto inner, ParseWhereExpr());
+      --where_depth_;
       MDDC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
       return inner;
     }
@@ -337,6 +350,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t where_depth_ = 0;
 };
 
 }  // namespace

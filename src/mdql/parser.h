@@ -29,6 +29,9 @@ namespace mdql {
 ///   insert     := INSERT INTO ident FACT number
 ///                 '(' assign (',' assign)* ')'
 ///   assign     := ident '.' ident '=' string (PROB number)?
+///
+/// A WHERE clause may nest parentheses at most 128 levels deep; deeper
+/// nesting is an InvalidArgument error, never unbounded recursion.
 Result<Statement> Parse(const std::string& source);
 
 }  // namespace mdql

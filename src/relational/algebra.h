@@ -80,13 +80,14 @@ struct AggregateTerm {
 /// gamma[group_by; terms](r): one output tuple per distinct combination
 /// of the grouping attributes, extended with the aggregate results.
 ///
-/// With an ExecContext whose num_threads > 1 and at least
-/// min_parallel_facts input tuples, grouping runs on the parallel
-/// engine: workers share a scan of the tuples (in relation order) and
-/// each accumulates only the groups of its hash partition, so every
-/// group's member list is built whole and in scan order by one worker.
-/// Partitions merge deterministically in partition order — the output
-/// relation is identical, byte for byte, to the sequential one.
+/// Groups intern on the flat-hash engine (docs/groupby_kernel.md). With
+/// an ExecContext whose num_threads > 1 and at least min_parallel_facts
+/// input tuples, grouping runs on the parallel engine: workers share a
+/// scan of the tuples (in relation order) and each accumulates only the
+/// groups of its hash partition, so every group's member list is built
+/// whole and in scan order by one worker. One key sort orders the
+/// groups — the output relation is identical, byte for byte, to the
+/// sequential one.
 Result<Relation> Aggregate(const Relation& r,
                            const std::vector<std::string>& group_by,
                            const std::vector<AggregateTerm>& terms,

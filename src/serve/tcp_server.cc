@@ -192,6 +192,12 @@ void TcpServer::ServeConnection(int fd) {
       buffer.clear();
     }
   }
+  // Forget the fd before closing it: once closed, the number may be
+  // handed to another socket, which Stop() must not shut down.
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+  }
   ::close(fd);
   // The thread object stays in conn_threads_ until Stop() joins it;
   // closed-connection threads are cheap (they are done running).

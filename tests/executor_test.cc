@@ -9,6 +9,7 @@
 #include "algebra/operators.h"
 #include "engine/executor.h"
 #include "io/serialize.h"
+#include "reference_groupby.h"
 #include "relational/algebra.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
@@ -229,16 +230,21 @@ AggregationType ResultBottomType(const MdObject& aggregated) {
   return type.AggType(type.bottom());
 }
 
-/// The differential oracle: the sequential algebra is ground truth; the
-/// parallel engine at 1, 2 and 8 threads must reproduce it down to the
-/// serialized bytes, including the result dimension's aggregation-type
-/// degradation.
+/// The differential oracle: the ordered-map reference engine is ground
+/// truth; the context-free run and the parallel engine at 1, 2 and 8
+/// threads must reproduce it down to the serialized bytes, including the
+/// result dimension's aggregation-type degradation.
 void ExpectParallelMatchesSequential(const MdObject& mo,
                                      const AggregateSpec& spec) {
-  auto sequential = AggregateFormation(mo, spec);
+  auto sequential = reference::AggregateFormation(mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok()) << sequential_bytes.status();
+  auto context_free = AggregateFormation(mo, spec);
+  ASSERT_TRUE(context_free.ok()) << context_free.status();
+  EXPECT_EQ(std::move(io::WriteMo(*context_free)).ValueOrDie(),
+            *sequential_bytes)
+      << "context-free result differs from the reference";
 
   for (std::size_t threads : {1u, 2u, 8u}) {
     ExecContext ctx(threads, /*min_facts=*/1);
@@ -462,8 +468,11 @@ TEST(RelationalParallelTest, GroupByMatchesSequentialAcrossThreads) {
   };
   for (std::uint32_t seed : {3u, 21u}) {
     relational::Relation r = RandomRelation(seed, 500);
-    auto sequential = relational::Aggregate(r, {"k1", "k2"}, terms);
+    auto sequential = reference::RelationalAggregate(r, {"k1", "k2"}, terms);
     ASSERT_TRUE(sequential.ok()) << sequential.status();
+    auto context_free = relational::Aggregate(r, {"k1", "k2"}, terms);
+    ASSERT_TRUE(context_free.ok()) << context_free.status();
+    EXPECT_TRUE(*context_free == *sequential) << "seed=" << seed;
     for (std::size_t threads : {1u, 2u, 8u}) {
       ExecContext ctx(threads, /*min_facts=*/1);
       auto parallel = relational::Aggregate(r, {"k1", "k2"}, terms, &ctx);

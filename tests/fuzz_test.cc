@@ -173,5 +173,35 @@ TEST_P(FuzzTest, ReaderSurvivesMutations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 6));
 
+/// A WHERE nested `depth` parentheses deep around one atom.
+std::string NestedWhere(std::size_t depth) {
+  return "SELECT COUNT FROM patients WHERE " + std::string(depth, '(') +
+         "Age >= 40" + std::string(depth, ')');
+}
+
+TEST(FuzzDepthTest, TenThousandParenthesesAreAnErrorNotACrash) {
+  // About 20 KB — under the TCP front-end's line cap, so one request line
+  // could otherwise recurse the parser off the end of its stack.
+  const std::string line = NestedWhere(10000);
+  auto statement = mdql::Parse(line);
+  ASSERT_FALSE(statement.ok());
+  EXPECT_NE(statement.status().message().find("deeper than 128"),
+            std::string::npos)
+      << statement.status();
+
+  auto cs = BuildCaseStudy();
+  ASSERT_TRUE(cs.ok());
+  mdql::Session session;
+  ASSERT_TRUE(session.Register("patients", cs->mo).ok());
+  EXPECT_FALSE(session.Execute(line).ok());
+  EXPECT_FALSE(session.Execute(NestedWhere(129)).ok());
+  // The cap itself still parses and runs.
+  auto at_cap = session.Execute(NestedWhere(128));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+  auto flat = session.Execute(NestedWhere(0));
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_EQ(at_cap->ToString(), flat->ToString());
+}
+
 }  // namespace
 }  // namespace mddc

@@ -3,6 +3,7 @@
 #include "engine/executor.h"
 #include "engine/preagg_cache.h"
 #include "io/serialize.h"
+#include "reference_groupby.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -250,6 +251,30 @@ TEST(PreAggCacheTest, StatsIdenticalUnderParallelExecution) {
   }
   // And the parallel engine really did run for the strict SUM scans.
   EXPECT_GE(ctx.stats.parallel_runs, 1u);
+
+  // Both match the reference engines: the exact hit is the base scan,
+  // the department query a roll-up of it, the AVG query a base scan
+  // (its c-typed city entry refuses reuse).
+  auto base_scan = [&](const AggFunction& fn,
+                       const std::vector<CategoryTypeIndex>& grouping) {
+    auto result = reference::AggregateFormation(
+        retail.mo, AggregateSpec{fn, grouping});
+    EXPECT_TRUE(result.ok()) << result.status();
+    return std::move(io::WriteMo(*result)).ValueOrDie();
+  };
+  auto rolled = reference::RollUpCached(
+      retail.mo,
+      *sequential_cache.Peek(AggFunction::Sum(retail.amount_dim),
+                             by_category),
+      AggFunction::Sum(retail.amount_dim), by_department);
+  ASSERT_TRUE(rolled.ok()) << rolled.status();
+  ASSERT_EQ(sequential_results.size(), 3u);
+  EXPECT_EQ(sequential_results[0],
+            base_scan(AggFunction::Sum(retail.amount_dim), by_category));
+  EXPECT_EQ(sequential_results[1],
+            std::move(io::WriteMo(*rolled)).ValueOrDie());
+  EXPECT_EQ(sequential_results[2],
+            base_scan(AggFunction::Avg(retail.price_dim), by_region));
 }
 
 TEST(PreAggCacheTest, FreshContextsAmortizeThreadStartupAcrossMisses) {

@@ -12,6 +12,7 @@
 #include "engine/preagg_cache.h"
 #include "fixtures.h"
 #include "io/serialize.h"
+#include "reference_groupby.h"
 #include "workload/clinical_generator.h"
 #include "workload/retail_generator.h"
 
@@ -22,7 +23,9 @@
 // edge), snapshot sharing across Dimension copies, and end-to-end proof —
 // via ExecStats and serialized-byte comparison at 1/2/8 threads — that
 // the index-consuming hot paths stay bit-identical to the sequential
-// algebra while actually consuming the index.
+// algebra (for aggregates and pre-aggregate roll-ups, the ordered-map
+// reference engine of tests/reference_groupby.h) while actually
+// consuming the index.
 
 namespace mddc {
 namespace {
@@ -327,7 +330,7 @@ TEST(RollupIndexEndToEndTest, AggregateCountsHitsAndMatchesSequential) {
       SpecFor(AggFunction::Sum(retail.amount_dim),
               GroupingAt(retail.mo, retail.product_dim, retail.category));
 
-  auto sequential = AggregateFormation(retail.mo, spec);
+  auto sequential = reference::AggregateFormation(retail.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
@@ -353,7 +356,7 @@ TEST(RollupIndexEndToEndTest, NonStrictAggregateCountsFallbacks) {
       AggFunction::SetCount(),
       GroupingAt(clinical.mo, clinical.diagnosis_dim, clinical.family));
 
-  auto sequential = AggregateFormation(clinical.mo, spec);
+  auto sequential = reference::AggregateFormation(clinical.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());
@@ -424,17 +427,26 @@ TEST(RollupIndexEndToEndTest, PreAggRollupCountsHitsAndMatchesSequential) {
   auto by_department =
       GroupingAt(retail.mo, retail.product_dim, retail.department);
 
-  // Ground truth: the same materialize-then-rollup sequence without any
-  // execution context never touches the index.
+  // Ground truth: the reference roll-up of the materialized aggregate.
+  // The same materialize-then-rollup sequence without any execution
+  // context never touches the index and must match it too.
   PreAggregateCache plain(retail.mo);
   ASSERT_TRUE(
       plain.Materialize(AggFunction::Sum(retail.amount_dim), by_category)
           .ok());
+  auto expected = reference::RollUpCached(
+      retail.mo,
+      *plain.Peek(AggFunction::Sum(retail.amount_dim), by_category),
+      AggFunction::Sum(retail.amount_dim), by_department);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  auto plain_bytes = io::WriteMo(*expected);
+  ASSERT_TRUE(plain_bytes.ok());
   auto plain_rolled =
       plain.Query(AggFunction::Sum(retail.amount_dim), by_department);
   ASSERT_TRUE(plain_rolled.ok()) << plain_rolled.status();
-  auto plain_bytes = io::WriteMo(*plain_rolled);
-  ASSERT_TRUE(plain_bytes.ok());
+  EXPECT_EQ(plain.stats().rollup_hits, 1u);
+  EXPECT_EQ(std::move(io::WriteMo(*plain_rolled)).ValueOrDie(),
+            *plain_bytes);
 
   PreAggregateCache indexed(retail.mo);
   ExecContext materialize_ctx(2, /*min_facts=*/1);
@@ -480,7 +492,7 @@ TEST(RollupIndexEndToEndTest,
   ASSERT_TRUE(products.AddOrder(ValueId(999983), category_value).ok());
   EXPECT_TRUE(stale->StaleFor(products));
 
-  auto sequential = AggregateFormation(retail.mo, spec);
+  auto sequential = reference::AggregateFormation(retail.mo, spec);
   ASSERT_TRUE(sequential.ok()) << sequential.status();
   auto sequential_bytes = io::WriteMo(*sequential);
   ASSERT_TRUE(sequential_bytes.ok());

@@ -232,6 +232,61 @@ TEST_F(TcpRobustnessTest, StatsAndReadsDuringActiveWrites) {
   ::close(fd);
 }
 
+TEST_F(TcpRobustnessTest, DeeplyNestedWhereGetsErrAndConnectionSurvives) {
+  const int fd = ConnectTo(tcp_.port());
+  ASSERT_GE(fd, 0);
+  std::string buffer;
+
+  // 10,000 nested parentheses: about 20 KB, under the line cap, so the
+  // line reaches the parser — which must refuse it, not overflow.
+  const std::string line = "SELECT COUNT FROM patients WHERE " +
+                           std::string(10000, '(') + "Age >= 40" +
+                           std::string(10000, ')');
+  ASSERT_LT(line.size(), TcpServer::kMaxLineBytes);
+  ASSERT_TRUE(SendLine(fd, line));
+  const std::vector<std::string> reply = ReadReply(fd, &buffer);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply[0].rfind("ERR ", 0), 0u) << reply[0];
+  EXPECT_NE(reply[0].find("deeper than"), std::string::npos) << reply[0];
+
+  ExpectServiceable(fd, &buffer);
+  ::close(fd);
+}
+
+TEST_F(TcpRobustnessTest, StopLeavesReusedDescriptorNumbersAlone) {
+  // A served connection ends (.quit); the server closes its side, so the
+  // descriptor number is free for the next socket the process opens.
+  const int fd = ConnectTo(tcp_.port());
+  ASSERT_GE(fd, 0);
+  std::string buffer;
+  ExpectServiceable(fd, &buffer);
+  ASSERT_TRUE(SendLine(fd, ".quit"));
+  char byte;
+  ASSERT_EQ(::recv(fd, &byte, 1, 0), 0);  // EOF: the server closed
+
+  // Socket pairs now take the lowest free numbers — the freed one among
+  // them. Stop() must not shut any of them down.
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i < 8; ++i) {
+    int ends[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+    pairs.emplace_back(ends[0], ends[1]);
+  }
+  tcp_.Stop();
+  for (const auto& [a, b] : pairs) {
+    ASSERT_TRUE(SendRaw(a, "x")) << "fd " << a;
+    char got = 0;
+    EXPECT_EQ(::recv(b, &got, 1, 0), 1) << "fd " << b;
+    EXPECT_EQ(got, 'x');
+    ASSERT_TRUE(SendRaw(b, "y")) << "fd " << b;
+    EXPECT_EQ(::recv(a, &got, 1, 0), 1) << "fd " << a;
+    EXPECT_EQ(got, 'y');
+    ::close(a);
+    ::close(b);
+  }
+  ::close(fd);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace mddc
